@@ -369,24 +369,32 @@ def pair_to_json(pair):
     }
 
 
-def _guess_field(doc):
-    for key in ("mul", "bracket"):
-        for entry in doc.get(key) or []:
-            if "t" in str(entry[3]):
-                return QQ_T
-    return QQ
+def _json_entries(doc, key, dim):
+    """The [i, j, k, value] items listed under ``key``, shape-checked."""
+    items = doc.get(key) or []
+    if not isinstance(items, list) or not all(
+            isinstance(e, (list, tuple)) and len(e) == 4 for e in items):
+        raise ValueError(f"{key!r} must be a list of [i, j, k, value] entries")
+    for entry in items:
+        if not all(type(x) is int and 1 <= x <= dim for x in entry[:3]):
+            raise DimensionMismatch(f"entry index out of range in {key}: {entry!r}")
+    return items
 
 
 def pair_from_json(doc, field=None):
+    """Parse an algebra document; malformed documents raise ValueError
+    (ScalarParseError for a bad scalar) with a one-line message."""
+    if not isinstance(doc, dict):
+        raise ValueError("an algebra document must be a JSON object")
+    dim = doc.get("dim")
+    if type(dim) is not int or not 1 <= dim <= 3:
+        raise ValueError(f"dim must be an integer from 1 to 3, got {dim!r}")
+    items = {key: _json_entries(doc, key, dim) for key in ("mul", "bracket")}
     if field is None:
-        field = _guess_field(doc)
-    dim = int(doc["dim"])
+        field = QQ_T if any("t" in str(e[3]) for es in items.values() for e in es) else QQ
 
     def sc_of(key):
-        entries = [(int(i), int(j), int(k), field.parse(str(v))) for i, j, k, v in doc.get(key) or []]
-        for i, j, k, _ in entries:
-            if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
-                raise DimensionMismatch(f"entry index out of range in {key}")
+        entries = [(i, j, k, field.parse(str(v))) for i, j, k, v in items[key]]
         return StructureConstants.from_entries(dim, entries, field=field)
 
     return AlgebraPair(sc_of("mul"), sc_of("bracket"))
@@ -397,4 +405,7 @@ def matrix_to_json(m, field):
 
 
 def matrix_from_json(rows, field=QQ):
+    if not isinstance(rows, (list, tuple)) or not rows or not all(
+            isinstance(r, (list, tuple)) and len(r) == len(rows) for r in rows):
+        raise ValueError("a matrix must be a non-empty square list of rows")
     return [[field.parse(str(v)) for v in row] for row in rows]

@@ -28,7 +28,7 @@ from .derivations import delta_derivations, half_biderivations
 from .dspecial import derivation_matching_bracket, derived_bracket
 from .enumeration import assoc_residual, residual_is_zero, tp_family
 from .iso import FINGERPRINT_FIELDS, distinguish, fingerprint, verify_witness
-from .scalars import QQ, ScalarParseError
+from .scalars import QQ
 
 
 class CliError(Exception):
@@ -60,7 +60,7 @@ def _load_pair(path):
             return pair_from_json(json.load(sys.stdin))
         with open(path) as fh:
             return pair_from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, ScalarParseError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot read algebra file {path}: {exc}") from exc
 
 
@@ -158,8 +158,11 @@ def cmd_iso(args):
     try:
         with open(args.witness) as fh:
             witness = matrix_from_json(json.load(fh))
-    except (OSError, ValueError, ScalarParseError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot read witness file {args.witness}: {exc}") from exc
+    if not lhs.dim == rhs.dim == len(witness):
+        raise CliError(f"witness is {len(witness)}x{len(witness)}, pairs have "
+                       f"dimensions {lhs.dim} and {rhs.dim}")
     ok = verify_witness(lhs, rhs, witness)
     _emit({"isomorphic_via_witness": ok, "distinguish": distinguish(lhs, rhs)},
           args.pretty)
@@ -211,7 +214,7 @@ def cmd_degenerate(args):
             "note": r.note,
         })
     ok = all(r.verified and r.checks and r.checks["ok"] for r in reports)
-    _emit({"rows": rows, "witness_errata": degeneration.witness_errata(),
+    _emit({"rows": rows, "witness_errata": degeneration.witness_errata(reports),
            "all_verified": ok}, args.pretty)
     return 0 if ok else 1
 

@@ -7,6 +7,10 @@ source pair equals the target pair, either exactly or after a post-limit
 change of basis.  Rows whose source parameter is itself a function of t
 are family degenerations: for those the derivation-dimension argument
 only gives weak (non-strict) semicontinuity.
+
+``necessary_checks`` is the one statement of the closed necessary
+conditions; table rows and the rigidity audit both compare
+``closure_invariants`` records through it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .algebra import (
 )
 from .catalog import instantiate
 from .derivations import pair_derivations
-from .iso import verify_witness
+from .iso import span_dims, verify_witness
 from .scalars import QQ, QQ_T, Diverges, RatFunc
 
 
@@ -82,11 +86,23 @@ class DegenerationInstance:
         return out
 
 
+@dataclass(frozen=True)
+class ClosureInvariants:
+    """What the closed necessary conditions compare (see ``necessary_checks``)."""
+
+    spans: tuple        # (dim V.V, dim [V,V], dim of their sum)
+    der_dim: int        # joint derivation dimension
+    mul_zero: bool
+    bracket_zero: bool
+
+
 @dataclass
 class DegenerationReport:
     row: int
     name: str
     instance: int
+    source: tuple                   # the instance's (id, params as Q(t) strings)
+    target: tuple                   # the instance's (id, params as rational strings)
     matched: str                    # "exact" | "via_post_witness" | "failed" | "diverges"
     family_source: bool
     limit: dict = None
@@ -135,15 +151,18 @@ def row_numbers():
 
 
 def verify_instance(inst, index=0):
-    """Run one table instance: act, take the limit, compare with the target."""
+    """Run one table instance: act, take the limit, compare with the target,
+    then evaluate the closed necessary conditions at the rational curve
+    samples (weak derivation test for family rows, strict otherwise)."""
     g = inst.g_matrix()
     if not linalg.det(g, QQ_T):
         raise SingularFamily(f"row {inst.row}: parametrized basis is singular")
     source = inst.source_pair()
     moved = gl_action(source, g)
     report = DegenerationReport(
-        row=inst.row, name=inst.name, instance=index,
-        matched="failed", family_source=inst.is_family(), note=inst.note,
+        row=inst.row, name=inst.name, instance=index, source=inst.source,
+        target=inst.target, matched="failed", family_source=inst.is_family(),
+        note=inst.note,
     )
     try:
         lim = limit_pair(moved)
@@ -154,78 +173,21 @@ def verify_instance(inst, index=0):
     report.limit = pair_to_json(lim)
     if pairs_equal(lim, target):
         report.matched = "exact"
-    elif inst.post_witness is not None:
-        w = matrix_from_json(inst.post_witness)
-        if verify_witness(lim, target, w):
-            report.matched = "via_post_witness"
-    else:
-        w = _search_sign_witness(lim, target)
-        if w is not None:
-            report.matched = "via_post_witness"
-            report.note = (report.note or "") + " sign witness found by search"
+    elif inst.post_witness is not None and verify_witness(
+            lim, target, matrix_from_json(inst.post_witness)):
+        report.matched = "via_post_witness"
     if report.verified:
-        report.der_dims = _derivation_dims(inst, target)
-        report.checks = _semicontinuity(inst, report.der_dims, target)
+        samples = inst.t_samples()
+        if not samples:
+            raise ValueError(f"row {inst.row}: no rational sample of the source parameters")
+        tgt = closure_invariants(target)
+        srcs = [closure_invariants(instantiate(inst.source[0], p)) for p in samples]
+        report.der_dims = {"source_at_samples": [s.der_dim for s in srcs],
+                           "target": tgt.der_dim}
+        per_sample = [necessary_checks(s, tgt, report.family_source) for s in srcs]
+        report.checks = {k: all(c[k] for c in per_sample)
+                         for k in per_sample[0] if k != "der_dims"}
     return report
-
-
-def _search_sign_witness(lim, target):
-    one, minus = QQ.one, -QQ.one
-    for s1 in (one, minus):
-        for s2 in (one, minus):
-            for s3 in (one, minus):
-                m = [[s1, QQ.zero, QQ.zero], [QQ.zero, s2, QQ.zero], [QQ.zero, QQ.zero, s3]]
-                if verify_witness(lim, target, m):
-                    return m
-    return None
-
-
-def _derivation_dims(inst, target):
-    source_dims = []
-    for params in inst.t_samples():
-        pair = instantiate(inst.source[0], params)
-        source_dims.append(pair_derivations(pair).dim)
-    return {"source_at_samples": source_dims, "target": pair_derivations(target).dim}
-
-
-def _span_dims(pair):
-    sq = [list(pair.mul.prod(i, j)) for i in range(pair.dim) for j in range(pair.dim)]
-    br = [list(pair.bracket.prod(i, j)) for i in range(pair.dim) for j in range(pair.dim)]
-    return (
-        linalg.span_dim(sq, pair.field),
-        linalg.span_dim(br, pair.field),
-        linalg.span_dim(sq + br, pair.field),
-    )
-
-
-def _semicontinuity(inst, der_dims, target):
-    """Closed necessary conditions along the row, evaluated at the rational
-    curve samples.  Proper single-orbit rows need a strict derivation jump;
-    family rows only a non-strict one."""
-    tgt_spans = _span_dims(target)
-    span_ok, der_strict, der_weak, component_ok = True, True, True, True
-    for params in inst.t_samples():
-        src = instantiate(inst.source[0], params)
-        s_spans = _span_dims(src)
-        if any(s < t for s, t in zip(s_spans, tgt_spans)):
-            span_ok = False
-        if src.mul.is_zero() and not target.mul.is_zero():
-            component_ok = False
-        if src.bracket.is_zero() and not target.bracket.is_zero():
-            component_ok = False
-    for d in der_dims["source_at_samples"]:
-        if not d < der_dims["target"]:
-            der_strict = False
-        if not d <= der_dims["target"]:
-            der_weak = False
-    required = der_weak if inst.is_family() else der_strict
-    return {
-        "spans_nonincreasing": span_ok,
-        "der_dim_strictly_increases": der_strict,
-        "der_dim_weakly_increases": der_weak,
-        "zero_component_rule": component_ok,
-        "ok": span_ok and component_ok and required,
-    }
 
 
 def verify_row(row_number):
@@ -239,13 +201,11 @@ def verify_all():
     return [verify_instance(inst, i) for i, inst in enumerate(load_rows())]
 
 
-def witness_errata():
-    """Machine-readable list of instances that needed a post-limit witness."""
-    out = []
-    for rep in verify_all():
-        if rep.matched == "via_post_witness":
-            out.append({"row": rep.row, "name": rep.name, "instance": rep.instance})
-    return out
+def witness_errata(reports):
+    """Machine-readable list of the reported instances that needed a
+    post-limit witness."""
+    return [{"row": rep.row, "name": rep.name, "instance": rep.instance}
+            for rep in reports if rep.matched == "via_post_witness"]
 
 
 def orbit_dim(pair):
@@ -255,23 +215,28 @@ def orbit_dim(pair):
     return 9 - pair_derivations(pair).dim
 
 
+def closure_invariants(pair):
+    """The invariants the closed necessary conditions compare."""
+    return ClosureInvariants(span_dims(pair), pair_derivations(pair).dim,
+                             pair.mul.is_zero(), pair.bracket.is_zero())
+
+
 def necessary_checks(source, target, family_source=False):
-    """Closed obstructions to source -> target: derivation dimension must
-    rise (strictly unless the source is a whole family), product/bracket/
-    joint span dimensions cannot grow, and a zero component must stay zero."""
-    s_spans, t_spans = _span_dims(source), _span_dims(target)
-    ds, dt = pair_derivations(source).dim, pair_derivations(target).dim
-    der_ok = ds <= dt if family_source else ds < dt
+    """Closed obstructions to source -> target, given the closure invariants
+    of both: derivation dimension must rise (strictly unless the source is a
+    whole family), product/bracket/joint span dimensions cannot grow, and a
+    zero component must stay zero."""
+    ds, dt = source.der_dim, target.der_dim
     report = {
         "der_dims": (ds, dt),
-        "der_dim_ok": der_ok,
-        "mul_span_nonincreasing": s_spans[0] >= t_spans[0],
-        "bracket_span_nonincreasing": s_spans[1] >= t_spans[1],
-        "joint_span_nonincreasing": s_spans[2] >= t_spans[2],
-        "mul_zero_component": not (source.mul.is_zero() and not target.mul.is_zero()),
-        "bracket_zero_component": not (source.bracket.is_zero() and not target.bracket.is_zero()),
+        "der_dim_ok": ds <= dt if family_source else ds < dt,
+        "mul_span_nonincreasing": source.spans[0] >= target.spans[0],
+        "bracket_span_nonincreasing": source.spans[1] >= target.spans[1],
+        "joint_span_nonincreasing": source.spans[2] >= target.spans[2],
+        "mul_zero_component": not (source.mul_zero and not target.mul_zero),
+        "bracket_zero_component": not (source.bracket_zero and not target.bracket_zero),
     }
-    report["ok"] = all(v for k, v in report.items() if k not in ("der_dims",))
+    report["ok"] = all(v for k, v in report.items() if k != "der_dims")
     return report
 
 
@@ -318,12 +283,12 @@ def rigid_component_members():
     ]
 
 
-def reachable_targets():
+def reachable_targets(reports):
     """id-level transitive closure of the verified table rows."""
     edges = {}
-    for rep, inst in zip(verify_all(), load_rows()):
+    for rep in reports:
         if rep.verified:
-            edges.setdefault(inst.source[0], set()).add(inst.target[0])
+            edges.setdefault(rep.source[0], set()).add(rep.target[0])
     closure = {k: set(v) for k, v in edges.items()}
     changed = True
     while changed:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .algebra import StructureConstants, is_lie
+from .algebra import is_lie
 
 
 class NotALieAlgebra(ValueError):
@@ -238,12 +238,3 @@ def half_biderivations(bracket, symmetric=True):
             t[i][j][k] = v[pos]
         tensors.append(tuple(tuple(tuple(r) for r in p) for p in t))
     return SolutionSpace(n, "tensor", tuple(tensors), field)
-
-
-def tensor_as_sc(tensor, field):
-    n = len(tensor)
-    return StructureConstants(n, field, tensor)
-
-
-def matrix_in_space(space, mat):
-    return space.contains(mat)

@@ -128,9 +128,7 @@ DERIVATION_FAMILIES = {
 
 def derivation_for(family_id, params):
     comm_id, builder = DERIVATION_FAMILIES[family_id]
-    from fractions import Fraction as _F
-
-    return comm_id, builder(*[_F(p) for p in params])
+    return comm_id, builder(*[Fraction(p) for p in params])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import AlgebraPair, StructureConstants, is_transposed_poisson
+from .algebra import AlgebraPair, StructureConstants
 from .derivations import NotALieAlgebra, SolutionSpace, half_biderivations
 
 
@@ -61,12 +61,6 @@ def member_pair(family, coords):
     tensor = family.space.combine(coords)
     return AlgebraPair(
         StructureConstants(family.lie.dim, family.lie.field, tensor), family.lie
-    )
-
-
-def member_is_transposed_poisson(family, coords):
-    return residual_is_zero(assoc_residual(family, coords)) and is_transposed_poisson(
-        member_pair(family, coords)
     )
 
 

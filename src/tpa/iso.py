@@ -65,21 +65,25 @@ def _has_unit(sc):
     return 1 if linalg.solve(rows, rhs, sc.field) is not None else 0
 
 
+def span_dims(pair):
+    """(dim V.V, dim [V,V], dim span(V.V + [V,V])) of a pair."""
+    sq, br = _product_vectors(pair.mul), _product_vectors(pair.bracket)
+    field = pair.field
+    return (linalg.span_dim(sq, field), linalg.span_dim(br, field),
+            linalg.span_dim(sq + br, field))
+
+
 def fingerprint(pair):
     """Ordered tuple of integer isomorphism invariants of a pair."""
     mul, br = pair.mul, pair.bracket
     field = pair.field
-    sq = _product_vectors(mul)
-    brv = _product_vectors(br)
     cube = [
         mul.evaluate(basis_i, v)
-        for v in sq
+        for v in _product_vectors(mul)
         for basis_i in linalg.identity(mul.dim, field)
     ]
     return (
-        linalg.span_dim(sq, field),
-        linalg.span_dim(brv, field),
-        linalg.span_dim(sq + brv, field),
+        *span_dims(pair),
         linalg.span_dim(cube, field),
         _annihilator_dim(mul),
         _annihilator_dim(br),

@@ -258,10 +258,11 @@ def limit_at_zero(r):
 # text encoding
 # ---------------------------------------------------------------------------
 
-_RAT_RE = re.compile(r"[+-]?\d+(?:/\d+)?$")
+_DEN = r"/\d*[1-9]\d*"  # a nonzero denominator
+_RAT_RE = re.compile(rf"[+-]?\d+(?:{_DEN})?$")
 _TERM_RE = re.compile(
     r"(?P<sign>[+-]?)"
-    r"(?:(?P<coef>\d+(?:/\d+)?)\*?)?"
+    rf"(?:(?P<coef>\d+(?:{_DEN})?)\*?)?"
     r"(?:(?P<t>t)(?:\^(?P<exp>[+-]?\d+))?)?$"
 )
 
@@ -312,6 +313,14 @@ def _terms_to_ratfunc(terms):
     return RatFunc(num, den)
 
 
+def _quotient(num, den):
+    """The quotient of two monomial sums, given as strings."""
+    num, den = _terms_to_ratfunc(_parse_terms(num)), _terms_to_ratfunc(_parse_terms(den))
+    if not den:
+        raise ScalarParseError("zero denominator")
+    return num / den
+
+
 _FRAC_FORM = re.compile(r"\((?P<n>.+?)\)\s*/\s*\((?P<d>.+)\)$")
 
 
@@ -327,9 +336,7 @@ def parse_ratfunc(s):
         return RatFunc(Fraction(s))
     m = _FRAC_FORM.match(s)
     if m:
-        return _terms_to_ratfunc(_parse_terms(m.group("n"))) / _terms_to_ratfunc(
-            _parse_terms(m.group("d"))
-        )
+        return _quotient(m.group("n"), m.group("d"))
     try:
         return _terms_to_ratfunc(_parse_terms(s))
     except ScalarParseError:
@@ -347,9 +354,7 @@ def parse_ratfunc(s):
                 right = right[1:-1]
             if left.startswith("(") and left.endswith(")"):
                 left = left[1:-1]
-            return _terms_to_ratfunc(_parse_terms(left)) / _terms_to_ratfunc(
-                _parse_terms(right)
-            )
+            return _quotient(left, right)
     raise ScalarParseError(f"cannot parse rational function: {s!r}")
 
 

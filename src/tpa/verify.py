@@ -14,6 +14,7 @@ profile name (TPA_SAMPLE_SEED, default "paper").
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import zlib
@@ -364,34 +365,20 @@ def claim_novikov():
     witness = [[0, 1], [-1, 0]]  # e1 -> -e2, e2 -> e1
     details["np01_witness_verifies"] = verify_witness(comm_pair, n01, witness)
 
-    found = None
     span = (QQ.coerce(-1), QQ.coerce(0), QQ.coerce(1))
-    for a in span:
-        for b in span:
-            for c in span:
-                for d in span:
-                    m = [[a, b], [c, d]]
-                    if a * d - b * c and verify_witness(comm_pair, n01, m):
-                        found = [[str(v) for v in row] for row in m]
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found:
-            break
+    found = next(
+        ([[str(a), str(b)], [str(c), str(d)]]
+         for a, b, c, d in itertools.product(span, repeat=4)
+         if a * d - b * c and verify_witness(comm_pair, n01, [[a, b], [c, d]])),
+        None,
+    )
     details["np01_witness_by_search"] = found
 
-    value_ok = True
-    for params in sample_params("NP02", 5):
-        cb = novikov_commutator_pair("NP02", params).bracket
-        a, b, _ = params
-        if cb.c[0][1][0] != a - b or any(cb.c[i][j][1] for i in range(2) for j in range(2)):
-            value_ok = False
+    obstruction = n02_obstruction_report()
+    value_ok = (obstruction["commutator_in_span_e1"]
+                and obstruction["commutator_value_matches"])
     details["np02_commutator_values"] = value_ok
     details["np02_sample_count"] = len(sample_params("NP02", 5))
-
-    obstruction = n02_obstruction_report()
     details["n02_obstruction"] = obstruction
     ok = (details["np01_witness_verifies"] and found is not None and value_ok
           and obstruction["all_pass"])
@@ -402,8 +389,8 @@ def claim_novikov():
 # criterion 7: the degeneration table
 # ---------------------------------------------------------------------------
 
-def claim_degenerations():
-    reports = degeneration.verify_all()
+def claim_degenerations(reports):
+    """Criterion 7 over the table reports of ``degeneration.verify_all``."""
     unverified = [
         {"row": r.row, "instance": r.instance, "matched": r.matched}
         for r in reports if not r.verified
@@ -414,42 +401,41 @@ def claim_degenerations():
     ]
     t20_orbit = degeneration.orbit_dim(instantiate("T20"))
     coverage = {}
-    for r, inst in zip(reports, degeneration.load_rows()):
+    for r in reports:
         if r.verified:
-            coverage.setdefault(inst.target[0], inst.source[0])
+            coverage.setdefault(r.target[0], r.source[0])
     ok = not unverified and not bad_checks and t20_orbit == 9
     return _claim(
         "degeneration-table", ok,
         instances=len(reports), unverified=unverified, failed_checks=bad_checks,
         orbit_dim_T20=t20_orbit,
-        witness_errata=degeneration.witness_errata(),
+        witness_errata=degeneration.witness_errata(reports),
         realized_source_per_target=coverage,
     )
 
 
-def rigidity_audit():
+def rigidity_audit(reports):
     """Consistency audit for the five orbit-closure components: nothing in
-    the verified table reaches a generic member from outside its family,
-    and the closed necessary conditions block every other catalog source.
-    Sources that slip past the necessary conditions are reported, not
-    asserted impossible."""
-    verified_targets = set()
-    for rep, inst in zip(degeneration.verify_all(), degeneration.load_rows()):
-        if rep.verified:
-            verified_targets.add((inst.target[0], inst.target[1]))
+    the verified table (``reports``) reaches a generic member from outside
+    its family, and the closed necessary conditions block every other
+    catalog source.  Sources that slip past the necessary conditions are
+    reported, not asserted impossible."""
+    verified_targets = {rep.target for rep in reports if rep.verified}
     open_list = []
     table_hits = []
-    members = degeneration.rigid_component_members()
-    member_pairs = [(mid, mp, instantiate(mid, mp)) for mid, mp in members]
-    for sid, sparams, spair in t_series_samples():
-        for mid, mparams, mpair in member_pairs:
+    invariants = degeneration.closure_invariants
+    members = [(mid, mp, invariants(instantiate(mid, mp)))
+               for mid, mp in degeneration.rigid_component_members()]
+    sources = [(sid, sp, invariants(spair)) for sid, sp, spair in t_series_samples()]
+    for sid, sparams, sinv in sources:
+        for mid, mparams, minv in members:
             if sid == mid:
                 continue
             key = (mid, tuple(str(p) for p in mparams))
             if key in verified_targets:
                 table_hits.append({"source": sid, "member": mid})
                 continue
-            checks = degeneration.necessary_checks(spair, mpair)
+            checks = degeneration.necessary_checks(sinv, minv)
             if checks["ok"]:
                 open_list.append({
                     "source": [sid, [str(p) for p in sparams]],
@@ -633,28 +619,30 @@ def erratum_list(results):
     return errata
 
 
+#: (criterion id, callable taking the degeneration table reports)
 CRITERIA = (
-    ("1-axioms", lambda: [claim_axioms()]),
-    ("2-halfder-table", lambda: [claim_halfder_dims()]),
-    ("3-enumeration", lambda: [claim_enumeration()]),
-    ("4-witnesses", lambda: [claim_witnesses()]),
-    ("5-strong-d-special", lambda: [
+    ("1-axioms", lambda table: [claim_axioms()]),
+    ("2-halfder-table", lambda table: [claim_halfder_dims()]),
+    ("3-enumeration", lambda table: [claim_enumeration()]),
+    ("4-witnesses", lambda table: [claim_witnesses()]),
+    ("5-strong-d-special", lambda table: [
         claim_vanishing_lemmas(),
         claim_negative_list_as_printed(),
         claim_strong_special_partition(),
         claim_positive_reconstructions(),
     ]),
-    ("6-novikov", lambda: [claim_novikov()]),
-    ("7-degenerations", lambda: [claim_degenerations()]),
-    ("8-properties", lambda: [claim_properties()]),
+    ("6-novikov", lambda table: [claim_novikov()]),
+    ("7-degenerations", lambda table: [claim_degenerations(table)]),
+    ("8-properties", lambda table: [claim_properties()]),
 )
 
 
 def run_suite():
+    table = degeneration.verify_all()
     criteria = []
     results = []
     for cid, run in CRITERIA:
-        claims = run()
+        claims = run(table)
         results.extend(claims)
         criteria.append({
             "criterion": cid,
@@ -666,6 +654,6 @@ def run_suite():
         "pass": all(c["pass"] for c in criteria),
         "errata": erratum_list(results),
         "separation_audit": separation_audit(),
-        "rigidity_audit": rigidity_audit(),
+        "rigidity_audit": rigidity_audit(table),
     }
     return out

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -137,6 +138,30 @@ def test_iso_missing_file_exit_2(capsys):
                  "--witness", "/nonexistent.json"]) == 2
 
 
+@pytest.mark.parametrize("command, files", [
+    ("check", {"input": '{"dim": 3, "mul": [[1, 1, 1, "1/0"]]}'}),
+    ("check", {"input": "[1, 2]"}),
+    ("check", {"input": '{"dim": 3, "mul": [[1, 1, 1]]}'}),
+    ("check", {"input": '{"dim": 3, "mul": "x"}'}),
+    ("check", {"input": '{"dim": -2}'}),
+    ("iso", {"lhs": '{"dim": 3, "mul": [[1, 1, 1, "1"]]}',
+             "rhs": '{"dim": 3, "mul": [[1, 1, 1, "1"]]}',
+             "witness": '[["1", "0"], ["0", "1"]]'}),
+], ids=["zero-denominator", "top-level-list", "three-field-entry", "mul-not-a-list",
+        "negative-dim", "witness-shape"])
+def test_malformed_input_exit_2(tmp_path, capsys, command, files):
+    argv = [command]
+    for flag, text in files.items():
+        path = tmp_path / f"{flag}.json"
+        path.write_text(text)
+        argv += [f"--{flag}", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
 def test_biderive_full_flag(capsys):
     code, doc = run(capsys, "biderive", "--lie", "g2", "--alpha", "2", "--full")
     assert code == 0
@@ -152,11 +177,21 @@ def test_deterministic_output(capsys):
     assert out1 == out2
 
 
-def test_verify_paper_reports_and_exit_code(capsys):
+#: sha256 of the whole ``verify-paper`` stdout under the default sample profile
+VERIFY_PAPER_SHA256 = "e38ad5a504b22d3680f48232e28b2463781bb4acf3e601c3a9887df9fe6bc890"
+
+
+def test_verify_paper_reports_and_exit_code(capsys, monkeypatch):
     # exit code 0 iff every criterion passes; the run carries one known
     # red criterion (the printed strong-D-special negative list), so the
-    # equivalence pins exit code 1 here
-    code, doc = run(capsys, "verify-paper")
+    # equivalence pins exit code 1 here.  The raw stdout is pinned byte for
+    # byte, so a refactor cannot change the report unnoticed.
+    monkeypatch.delenv("TPA_SAMPLE_SEED", raising=False)
+    code = main(["verify-paper"])
+    raw = capsys.readouterr().out.encode()
+    assert len(raw) == 5801
+    assert hashlib.sha256(raw).hexdigest() == VERIFY_PAPER_SHA256
+    doc = json.loads(raw)
     assert code == (0 if doc["pass"] else 1)
     assert code == 1
     by_id = {c["criterion"]: c["pass"] for c in doc["criteria"]}

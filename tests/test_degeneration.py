@@ -7,6 +7,7 @@ from tpa.catalog import instantiate
 from tpa.degeneration import (
     DegenerationInstance,
     SingularFamily,
+    closure_invariants,
     load_rows,
     necessary_checks,
     orbit_dim,
@@ -88,8 +89,9 @@ def test_strictness_split():
 def test_no_sign_witnesses_needed():
     # computed, not assumed: under the group-action convention every row
     # lands on the target exactly
-    assert witness_errata() == []
-    assert all(r.matched == "exact" for r in verify_all())
+    reports = verify_all()
+    assert witness_errata(reports) == []
+    assert all(r.matched == "exact" for r in reports)
 
 
 def test_post_witness_machinery():
@@ -102,6 +104,20 @@ def test_post_witness_machinery():
     )
     rep = verify_instance(inst)
     assert rep.matched == "via_post_witness"
+    assert witness_errata([rep]) == [{"row": 99, "name": "sign-flip probe", "instance": 0}]
+
+
+def test_missing_post_witness_fails():
+    # the same sign-flipped probe without its tabulated witness: no search
+    # stands in for the missing witness, so the row must fail loudly
+    inst = DegenerationInstance(
+        row=99, name="sign-flip probe",
+        source=("T09", ("3", "t")), target=("T11", ("3",)),
+        g_columns=(("1", "0", "0"), ("0", "1", "0"), ("t^-1", "0", "1")),
+    )
+    rep = verify_instance(inst)
+    assert rep.matched == "failed"
+    assert rep.checks is None
 
 
 def test_singular_family_rejected():
@@ -133,21 +149,49 @@ def test_orbit_dims():
 
 
 def test_necessary_checks_direction():
-    t05, t02 = instantiate("T05"), instantiate("T02")
+    t05, t02 = closure_invariants(instantiate("T05")), closure_invariants(instantiate("T02"))
     assert necessary_checks(t05, t02)["ok"]
     back = necessary_checks(t02, t05)
     assert not back["ok"] and not back["der_dim_ok"]
 
 
 def test_necessary_checks_zero_component():
-    t01 = instantiate("T01")
-    t20 = instantiate("T20")
+    t01 = closure_invariants(instantiate("T01"))
+    t20 = closure_invariants(instantiate("T20"))
     rep = necessary_checks(t20, t01)
     assert not rep["bracket_span_nonincreasing"] or not rep["bracket_zero_component"]
     assert not rep["ok"]
     rep = necessary_checks(t01, t20)
     assert not rep["mul_zero_component"]
     assert not rep["ok"]
+
+
+def test_necessary_checks_weak_for_families():
+    # equal derivation dimensions pass only the weak (family) test
+    t05 = closure_invariants(instantiate("T05"))
+    assert necessary_checks(t05, t05, family_source=True)["der_dim_ok"]
+    assert not necessary_checks(t05, t05)["der_dim_ok"]
+
+
+def test_row_checks_are_necessary_checks():
+    # a row's checks are the necessary_checks keys, AND-ed over its samples
+    t05, t02 = closure_invariants(instantiate("T05")), closure_invariants(instantiate("T02"))
+    keys = set(necessary_checks(t05, t02)) - {"der_dims"}
+    for r in verify_all():
+        assert set(r.checks) == keys, (r.row, r.instance)
+
+
+def test_row_without_samples_rejected():
+    # no rational point of the source curve means no evidence for the
+    # closed conditions: the row is refused, not passed vacuously
+    class Unsampled(DegenerationInstance):
+        def t_samples(self):
+            return []
+
+    row1 = load_rows()[0]
+    inst = Unsampled(**{f: getattr(row1, f) for f in row1.__dataclass_fields__})
+    with pytest.raises(ValueError):
+        verify_instance(inst)
 
 
 def _diagonal_witness_works(source, target, exps):
@@ -175,7 +219,7 @@ def test_search_finds_diagonal_rows():
 
 
 def test_reachable_targets_closure():
-    closure = reachable_targets()
+    closure = reachable_targets(verify_all())
     assert "T02" in closure["T05"]
     assert "T03" in closure["T05"]  # via T04
     assert "T15" in closure["T12"]  # via T14
@@ -188,7 +232,7 @@ def test_reachable_targets_closure():
 
 
 def test_rigidity_audit_within_open_list():
-    audit = rigidity_audit()
+    audit = rigidity_audit(verify_all())
     assert audit["table_reaches_component_member"] == []
     assert audit["within_open_list"]
     pairs = {(o["source"][0], o["member"][0]) for o in audit["open_list"]}

@@ -87,6 +87,15 @@ def test_parse_quotients():
         parse_ratfunc("x + 1")
 
 
+@pytest.mark.parametrize("text", ["1/0", "-3/00", "1/0*t", "(1)/(t - t)", "t/0"])
+def test_zero_denominators_rejected(text):
+    with pytest.raises(ScalarParseError):
+        parse_ratfunc(text)
+    if "t" not in text:
+        with pytest.raises(ScalarParseError):
+            QQ.parse(text)
+
+
 def test_format_roundtrip():
     cases = [T, T / (T + 1), RatFunc(F(5, 6)), RatFunc(1) / (T * T),
              (T * T - 1) / (T + 2), RatFunc(0), -T + 3]
