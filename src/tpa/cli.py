@@ -202,7 +202,10 @@ def cmd_dspecial(args):
 
 def cmd_degenerate(args):
     if args.row is not None:
-        reports = degeneration.verify_row(args.row)
+        try:
+            reports = degeneration.verify_row(args.row)
+        except degeneration.UnknownRow as exc:
+            raise CliError(str(exc)) from exc
     else:
         reports = degeneration.verify_all()
     rows = []

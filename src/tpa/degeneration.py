@@ -40,6 +40,10 @@ class SingularFamily(ValueError):
     """The parametrized basis matrix is singular over Q(t)."""
 
 
+class UnknownRow(ValueError):
+    """The table has no row with the requested number."""
+
+
 @dataclass(frozen=True)
 class DegenerationInstance:
     row: int
@@ -181,7 +185,9 @@ def verify_instance(inst, index=0):
         if not samples:
             raise ValueError(f"row {inst.row}: no rational sample of the source parameters")
         tgt = closure_invariants(target)
-        srcs = [closure_invariants(instantiate(inst.source[0], p)) for p in samples]
+        distinct = {p: closure_invariants(instantiate(inst.source[0], p))
+                    for p in dict.fromkeys(samples)}
+        srcs = [distinct[p] for p in samples]
         report.der_dims = {"source_at_samples": [s.der_dim for s in srcs],
                            "target": tgt.der_dim}
         per_sample = [necessary_checks(s, tgt, report.family_source) for s in srcs]
@@ -193,7 +199,7 @@ def verify_instance(inst, index=0):
 def verify_row(row_number):
     insts = [r for r in load_rows() if r.row == row_number]
     if not insts:
-        raise ValueError(f"no degeneration row {row_number}")
+        raise UnknownRow(f"no degeneration row {row_number}")
     return [verify_instance(inst, i) for i, inst in enumerate(insts)]
 
 

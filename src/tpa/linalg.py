@@ -4,9 +4,19 @@ Matrices are lists of row lists whose entries all live in one scalar
 field (see scalars.QQ / scalars.QQ_T).  Elimination uses first-nonzero
 pivoting and normalises pivots to 1, so ranks, solutions and nullspace
 bases are reproducible across runs.
+
+``rref`` over Q clears denominators and eliminates with integer row
+operations, dividing by pivots only at the end; over Q(t) it runs the
+generic field loop.  Both give the one reduced row echelon form, so
+every function built on ``rref`` returns the same result either way.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
+
+from .scalars import QQ
 
 
 class SingularMatrix(ValueError):
@@ -50,6 +60,58 @@ def transpose(a):
 
 def rref(rows, field):
     """Reduced row echelon form.  Returns (matrix, pivot column list)."""
+    if field is QQ:
+        return _rref_integer(rows)
+    return _rref_generic(rows, field)
+
+
+def _rref_integer(rows):
+    """rref over Q by fraction-free elimination.
+
+    Each row is scaled to a primitive integer row (denominators cleared,
+    content divided out), and stays a nonzero multiple of the row the
+    generic loop would hold.  Zero patterns, and so pivots and swaps, are
+    therefore the same, and dividing each pivot row by its pivot at the
+    end gives the same matrix."""
+    m = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        m.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
+    if not m:
+        return m, []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        prow = m[r]
+        for i, row in enumerate(m):
+            f = row[c]
+            if i != r and f:
+                g = gcd(prow[c], f)
+                a, b = prow[c] // g, f // g
+                m[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    zero = QQ.zero
+    red = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(m, pivots)]
+    red += [[zero] * ncols for _ in range(len(m) - r)]
+    return red, pivots
+
+
+def _primitive(row):
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _rref_generic(rows, field):
+    """rref over any field: the reference loop, and the Q(t) path."""
     m = [list(r) for r in rows]
     if not m:
         return m, []

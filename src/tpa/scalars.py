@@ -258,12 +258,16 @@ def limit_at_zero(r):
 # text encoding
 # ---------------------------------------------------------------------------
 
+#: largest |exponent| of t accepted by the parser; a monomial t^N becomes a
+#: dense coefficient list of length |N| + 1 (the table needs at most 6)
+MAX_T_EXPONENT = 64
+
 _DEN = r"/\d*[1-9]\d*"  # a nonzero denominator
 _RAT_RE = re.compile(rf"[+-]?\d+(?:{_DEN})?$")
 _TERM_RE = re.compile(
     r"(?P<sign>[+-]?)"
     rf"(?:(?P<coef>\d+(?:{_DEN})?)\*?)?"
-    r"(?:(?P<t>t)(?:\^(?P<exp>[+-]?\d+))?)?$"
+    r"(?:(?P<t>t)(?:\^(?P<exp>[+-]?\d{1,4}))?)?$"
 )
 
 
@@ -299,6 +303,8 @@ def _parse_terms(s):
         exp = 0
         if m.group("t"):
             exp = int(m.group("exp") or 1)
+            if abs(exp) > MAX_T_EXPONENT:
+                raise ScalarParseError(f"exponent of t beyond ±{MAX_T_EXPONENT} in {s!r}")
         out[exp] = out.get(exp, Fraction(0)) + coef
     return out
 

@@ -139,18 +139,20 @@ def test_iso_missing_file_exit_2(capsys):
 
 
 @pytest.mark.parametrize("command, files", [
-    ("check", {"input": '{"dim": 3, "mul": [[1, 1, 1, "1/0"]]}'}),
-    ("check", {"input": "[1, 2]"}),
-    ("check", {"input": '{"dim": 3, "mul": [[1, 1, 1]]}'}),
-    ("check", {"input": '{"dim": 3, "mul": "x"}'}),
-    ("check", {"input": '{"dim": -2}'}),
-    ("iso", {"lhs": '{"dim": 3, "mul": [[1, 1, 1, "1"]]}',
-             "rhs": '{"dim": 3, "mul": [[1, 1, 1, "1"]]}',
-             "witness": '[["1", "0"], ["0", "1"]]'}),
+    (["check"], {"input": '{"dim": 3, "mul": [[1, 1, 1, "1/0"]]}'}),
+    (["check"], {"input": "[1, 2]"}),
+    (["check"], {"input": '{"dim": 3, "mul": [[1, 1, 1]]}'}),
+    (["check"], {"input": '{"dim": 3, "mul": "x"}'}),
+    (["check"], {"input": '{"dim": -2}'}),
+    (["iso"], {"lhs": '{"dim": 3, "mul": [[1, 1, 1, "1"]]}',
+               "rhs": '{"dim": 3, "mul": [[1, 1, 1, "1"]]}',
+               "witness": '[["1", "0"], ["0", "1"]]'}),
+    (["check"], {"input": '{"dim": 3, "mul": [[1, 1, 1, "t^999999999"]]}'}),
+    (["degenerate", "--row", "42"], {}),
 ], ids=["zero-denominator", "top-level-list", "three-field-entry", "mul-not-a-list",
-        "negative-dim", "witness-shape"])
+        "negative-dim", "witness-shape", "t-exponent-too-large", "unknown-row"])
 def test_malformed_input_exit_2(tmp_path, capsys, command, files):
-    argv = [command]
+    argv = list(command)
     for flag, text in files.items():
         path = tmp_path / f"{flag}.json"
         path.write_text(text)

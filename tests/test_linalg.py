@@ -1,8 +1,11 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tpa import linalg
+from tpa.catalog import t_series_samples
+from tpa.derivations import pair_derivations
 from tpa.linalg import SingularMatrix
 from tpa.scalars import QQ, QQ_T, T
 
@@ -54,7 +57,7 @@ def test_det():
 
 
 def test_rational_function_elimination():
-    # the same elimination core runs over Q(t)
+    # Q(t) has no integer form: rref runs the generic field loop here
     g = [[T, QQ_T.one, QQ_T.zero],
          [QQ_T.zero, T + 2, QQ_T.zero],
          [QQ_T.zero, QQ_T.zero, QQ_T.one]]
@@ -68,3 +71,78 @@ def test_span_and_membership():
     assert linalg.span_dim(vs, QQ) == 2
     assert linalg.in_span(vs, [F(2), F(3), F(5)], QQ) == [F(2), F(3)]
     assert linalg.in_span(vs, [F(0), F(0), F(1)], QQ) is None
+
+
+# -- the integer kernel for Q against the generic loop and sympy -------------
+
+entries = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+)
+
+
+@st.composite
+def rational_matrices(draw, shape=None):
+    """Q matrices (up to 8x10 unless shape is given) with mixed denominators;
+    extra rows are zero rows or combinations of earlier rows, shuffled in,
+    so ranks fall short."""
+    nrows, ncols = shape or (draw(st.integers(1, 8)), draw(st.integers(1, 10)))
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=nrows))
+    while len(rows) < nrows:
+        if draw(st.booleans()):
+            rows.append([F(0)] * ncols)
+        else:
+            a, b = draw(st.lists(st.sampled_from(rows), min_size=2, max_size=2))
+            x, y = draw(entries), draw(entries)
+            rows.append([x * u + y * v for u, v in zip(a, b)])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_integer_rref_matches_generic_loop(m):
+    assert linalg.rref(m, QQ) == linalg._rref_generic(m, QQ)
+
+
+def _sympy_matrix(sympy, m):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in m])
+
+
+def _from_sympy(x):
+    return F(int(x.p), int(x.q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices())
+def test_rref_rank_and_nullspace_match_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    sm = _sympy_matrix(sympy, m)
+    red, pivots = sm.rref()
+    assert linalg.rref(m, QQ) == ([[_from_sympy(x) for x in r] for r in red.tolist()],
+                                  list(pivots))
+    assert linalg.rank(m, QQ) == sm.rank()
+    ours = linalg.nullspace(m, len(m[0]), QQ)
+    theirs = [[_from_sympy(x) for x in v] for v in sm.nullspace()]
+    # sympy sets each free coordinate to 1; ours scales the first nonzero to 1
+    assert ours == [[x / next(y for y in v if y) for x in v] for v in theirs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: rational_matrices((n, n))))
+def test_inverse_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    sm = _sympy_matrix(sympy, m)
+    if sm.det() == 0:
+        with pytest.raises(SingularMatrix):
+            linalg.inv(m, QQ)
+    else:
+        assert linalg.inv(m, QQ) == [[_from_sympy(x) for x in r] for r in sm.inv().tolist()]
+
+
+def test_t_series_derivations_identical_under_generic_loop(monkeypatch):
+    samples = t_series_samples()
+    assert len(samples) == 70
+    fast = [pair_derivations(pair).basis for _, _, pair in samples]
+    monkeypatch.setattr(linalg, "rref", linalg._rref_generic)
+    assert [pair_derivations(pair).basis for _, _, pair in samples] == fast

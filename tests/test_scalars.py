@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tpa.scalars import (
+    MAX_T_EXPONENT,
     QQ,
     QQ_T,
     Diverges,
@@ -94,6 +95,20 @@ def test_zero_denominators_rejected(text):
     if "t" not in text:
         with pytest.raises(ScalarParseError):
             QQ.parse(text)
+
+
+@pytest.mark.parametrize("text", ["t^999999999", "t^-65", "2*t^65 + 1", "1/t^65",
+                                  "(1)/(t^100)", "(t^-999999999)/(1 + t)",
+                                  "t^" + "9" * 5000])
+def test_t_exponent_bounded(text):
+    # an unbounded exponent would make the parser allocate a list of that length
+    with pytest.raises(ScalarParseError):
+        parse_ratfunc(text)
+
+
+def test_t_exponent_at_bound():
+    n = MAX_T_EXPONENT
+    assert parse_ratfunc(f"t^{n} + t^-{n}") == T ** n + T ** -n
 
 
 def test_format_roundtrip():
