@@ -19,6 +19,7 @@ from .algebra import (
     is_poisson,
     is_transposed_poisson,
     matrix_from_json,
+    matrix_to_json,
     pair_from_json,
     pair_to_json,
     sc_to_entries,
@@ -76,18 +77,12 @@ def _resolve_input(args):
         raise CliError(str(exc)) from exc
 
 
-def _matrix_doc(mat):
-    return [[QQ.format(v) for v in row] for row in mat]
-
-
 def _space_doc(space):
+    """A solution space with its entries in the space's own field (Q or Q(t))."""
     if space.kind == "matrix":
-        basis = [_matrix_doc(b) for b in space.basis]
+        basis = [matrix_to_json(b, space.field) for b in space.basis]
     else:
-        basis = [
-            [[[QQ.format(v) for v in row] for row in plane] for plane in b]
-            for b in space.basis
-        ]
+        basis = [[matrix_to_json(plane, space.field) for plane in b] for b in space.basis]
     return {"dim": space.dim, "kind": space.kind, "basis": basis}
 
 
@@ -195,7 +190,7 @@ def cmd_dspecial(args):
         d = derivation_matching_bracket(pair.mul, pair.bracket)
         doc["strong_d_special"] = d is not None
         if d is not None:
-            doc["derivation"] = _matrix_doc(d)
+            doc["derivation"] = matrix_to_json(d, pair.field)
     _emit(doc, args.pretty)
     return 0
 

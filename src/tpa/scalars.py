@@ -5,6 +5,10 @@ Both domains sit behind the same operator surface (+, -, *, /, unary -,
 Rationals are plain ``fractions.Fraction``; rational functions are pairs
 of dense coefficient lists over Fraction, kept fully reduced with a monic
 denominator.  Everything is immutable.
+
+Sums and products of Laurent operands (reduced denominator t^k), and a
+Laurent value divided by a monomial c*t^j, reduce by stripping powers of
+t instead of by the Euclidean gcd; the stored form is the same either way.
 """
 
 from __future__ import annotations
@@ -92,9 +96,19 @@ def _pgcd(a, b):
 def _pval(a):
     """t-adic valuation: index of the lowest nonzero coefficient."""
     for i, c in enumerate(a):
-        if c != 0:
+        if c:
             return i
     return None  # zero polynomial
+
+
+def _tpow(a):
+    """k when the nonzero polynomial a is c*t^k, else None."""
+    k = len(a) - 1
+    return None if any(a[:k]) else k
+
+
+_ZERO = (Fraction(0),)
+_ONE = (Fraction(1),)
 
 
 class RatFunc:
@@ -106,25 +120,12 @@ class RatFunc:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num=0, den=1):
-        num = self._coeffs(num)
-        den = self._coeffs(den)
+    def __new__(cls, num=0, den=1):
+        num = cls._coeffs(num)
+        den = cls._coeffs(den)
         if _pzero(den):
             raise ZeroDivisionError("rational function with zero denominator")
-        if _pzero(num):
-            object.__setattr__(self, "num", (Fraction(0),))
-            object.__setattr__(self, "den", (Fraction(1),))
-            return
-        g = _pgcd(num, den)
-        if len(g) > 1 or g[0] != 1:
-            num, _ = _pdivmod(num, g)
-            den, _ = _pdivmod(den, g)
-        lead = den[-1]
-        if lead != 1:
-            num = tuple(c / lead for c in num)
-            den = tuple(c / lead for c in den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        return _reduced(num, den)
 
     @staticmethod
     def _coeffs(v):
@@ -138,12 +139,12 @@ class RatFunc:
         raise AttributeError("RatFunc is immutable")
 
     # -- coercion ----------------------------------------------------------
-    @classmethod
-    def _lift(cls, v):
+    @staticmethod
+    def _lift(v):
         if isinstance(v, RatFunc):
             return v
         if isinstance(v, (int, Fraction)):
-            return cls(v)
+            return _new((Fraction(v),), _ONE)
         return NotImplemented
 
     # -- field operations ---------------------------------------------------
@@ -151,13 +152,17 @@ class RatFunc:
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
+        ka, kb = _tpow(self.den), _tpow(other.den)
+        if ka is not None and kb is not None:
+            k = max(ka, kb)
+            return _laurent(_padd(_ZERO * (k - ka) + self.num, _ZERO * (k - kb) + other.num), k)
         num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return RatFunc(num, _pmul(self.den, other.den))
+        return _reduced(num, _pmul(self.den, other.den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(_pneg(self.num), self.den)
+        return _new(_pneg(self.num), self.den)
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -169,10 +174,17 @@ class RatFunc:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return _new(_ZERO, _ONE)
+            return _new(tuple(c * other for c in self.num), self.den)
+        if not isinstance(other, RatFunc):
             return NotImplemented
-        return RatFunc(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        num = _pmul(self.num, other.num)
+        ka, kb = _tpow(self.den), _tpow(other.den)
+        if ka is not None and kb is not None:
+            return _laurent(num, ka + kb)
+        return _reduced(num, _pmul(self.den, other.den))
 
     __rmul__ = __mul__
 
@@ -182,7 +194,7 @@ class RatFunc:
             return NotImplemented
         if not other:
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        return _reduced(_pmul(self.num, other.den), _pmul(self.den, other.num))
 
     def __rtruediv__(self, other):
         other = self._lift(other)
@@ -241,6 +253,45 @@ class RatFunc:
 
     def is_constant(self):
         return len(self.num) == 1 and self.den == (Fraction(1),)
+
+
+def _new(num, den):
+    """A RatFunc holding num/den as given: they must already be reduced."""
+    r = object.__new__(RatFunc)
+    object.__setattr__(r, "num", num)
+    object.__setattr__(r, "den", den)
+    return r
+
+
+def _laurent(num, k):
+    """The reduced num / t^k for a trimmed num and k >= 0: strip t^min(k, val num)."""
+    v = _pval(num)
+    if v is None:
+        return _new(_ZERO, _ONE)
+    if v >= k:
+        return _new(num[k:], _ONE)
+    return _new(num[v:], _ZERO * (k - v) + _ONE)
+
+
+def _reduced(num, den):
+    """The reduced num/den for trimmed polynomials, den nonzero."""
+    k = _tpow(den)
+    if k is not None:  # den = c*t^k: only powers of t can cancel
+        c = den[-1]
+        if c != 1:
+            num = tuple(x / c for x in num)
+        return _laurent(num, k)
+    if _pzero(num):
+        return _new(_ZERO, _ONE)
+    g = _pgcd(num, den)
+    if len(g) > 1 or g[0] != 1:
+        num, _ = _pdivmod(num, g)
+        den, _ = _pdivmod(den, g)
+    lead = den[-1]
+    if lead != 1:
+        num = tuple(c / lead for c in num)
+        den = tuple(c / lead for c in den)
+    return _new(num, den)
 
 
 #: the variable t
@@ -428,10 +479,7 @@ class _RatFuncField:
         return RatFunc(Fraction(v))
 
     parse = staticmethod(parse_ratfunc)
-
-    @staticmethod
-    def format(v):
-        return format_ratfunc(v)
+    format = staticmethod(format_ratfunc)
 
     def __repr__(self):
         return "QQ_T"

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from tpa.cli import main
+from tpa.scalars import QQ_T, T
 
 
 def run(capsys, *argv):
@@ -168,6 +169,56 @@ def test_biderive_full_flag(capsys):
     code, doc = run(capsys, "biderive", "--lie", "g2", "--alpha", "2", "--full")
     assert code == 0
     assert doc["dim"] == 6
+
+
+#: Q(t) pairs (a "t" in any entry selects Q(t)); the second has a
+#: t-dependent derivation and half-biderivation basis
+QT_PAIRS = {
+    "bracket-over-t": {"dim": 2, "mul": [[1, 1, 1, "t"]],
+                       "bracket": [[1, 2, 2, "1/t"], [2, 1, 2, "-1/t"]]},
+    "t-dependent-basis": {"dim": 2, "mul": [[1, 1, 1, "t"]],
+                          "bracket": [[1, 2, 1, "t"], [2, 1, 1, "-t"],
+                                      [1, 2, 2, "1"], [2, 1, 2, "-1"]]},
+}
+
+
+def _strings(doc):
+    if isinstance(doc, str):
+        return [doc]
+    return [s for part in doc for s in _strings(part)]
+
+
+@pytest.mark.parametrize("command, basis_of", [
+    (["der"], lambda doc: doc["basis"]),
+    (["biderive"], lambda doc: doc["basis"]),
+    (["dspecial", "--all-derivations"], lambda doc: doc["derivations"]["basis"]),
+    (["enumerate"], lambda doc: doc["basis"]),
+], ids=["der", "biderive", "dspecial-all-derivations", "enumerate"])
+def test_qt_input_solution_spaces(tmp_path, capsys, command, basis_of):
+    # the solvers work over the input's field, and so must the output
+    entries = []
+    for name, pair in QT_PAIRS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(pair))
+        code, doc = run(capsys, *command, "--input", str(path))
+        assert code == 0
+        basis = basis_of(doc)
+        assert basis
+        entries += [QQ_T.parse(s) for s in _strings(basis)]
+    if command != ["dspecial", "--all-derivations"]:  # derivations of t*e1.e1 are constant
+        assert any(not e.is_constant() for e in entries)
+
+
+def test_qt_input_feasible_derivation(tmp_path, capsys):
+    # T03 at beta = t: D = diag(1/(2t), -1/(2t), 0) reproduces the bracket
+    path = tmp_path / "t03.json"
+    path.write_text(json.dumps({"dim": 3, "mul": [[1, 2, 3, "t"], [2, 1, 3, "t"]],
+                                "bracket": [[1, 2, 3, "1"], [2, 1, 3, "-1"]]}))
+    code, doc = run(capsys, "dspecial", "--feasible", "--input", str(path))
+    assert code == 0 and doc["strong_d_special"] is True
+    d = [[QQ_T.parse(s) for s in row] for row in doc["derivation"]]
+    half_over_t = QQ_T.one / (2 * T)
+    assert d == [[half_over_t, 0, 0], [0, -half_over_t, 0], [0, 0, 0]]
 
 
 def test_deterministic_output(capsys):

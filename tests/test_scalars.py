@@ -11,6 +11,13 @@ from tpa.scalars import (
     RatFunc,
     ScalarParseError,
     T,
+    _new,
+    _padd,
+    _pdivmod,
+    _pgcd,
+    _pmul,
+    _pneg,
+    _trim,
     format_ratfunc,
     limit_at_zero,
     parse_ratfunc,
@@ -172,3 +179,131 @@ def test_valuation():
     assert (T * T * 2).valuation() == 2
     assert (RatFunc(1) / T).valuation() == -1
     assert RatFunc(0).valuation() is None
+
+
+# -- the Laurent fast path against the Euclidean reduction and sympy -------
+
+coeffs = st.one_of(st.just(F(0)), st.fractions(min_value=-9, max_value=9, max_denominator=12))
+nonzero_coeffs = coeffs.filter(bool)
+
+
+@st.composite
+def numerators(draw):
+    """Zero, a monomial c*t^j, or a general polynomial (mixed denominators)."""
+    kind = draw(st.sampled_from(["zero", "monomial", "general"]))
+    if kind == "zero":
+        return [F(0)]
+    if kind == "monomial":
+        return [F(0)] * draw(st.integers(0, 4)) + [draw(nonzero_coeffs)]
+    return draw(st.lists(coeffs, min_size=1, max_size=5))
+
+
+@st.composite
+def denominators(draw):
+    """Monic: 1, t^k (k <= 6), or one with a nonzero coefficient below the top."""
+    kind = draw(st.sampled_from(["one", "power-of-t", "general"]))
+    if kind == "one":
+        return [F(1)]
+    if kind == "power-of-t":
+        return [F(0)] * draw(st.integers(1, 6)) + [F(1)]
+    return draw(st.lists(coeffs, min_size=1, max_size=3).filter(any)) + [F(1)]
+
+
+def _euclid(num, den):
+    """num/den reduced by the Euclidean gcd, with a monic denominator."""
+    num, den = _trim(num), _trim(den)
+    g = _pgcd(num, den)
+    num, den = _pdivmod(num, g)[0], _pdivmod(den, g)[0]
+    lead = den[-1]
+    return tuple(c / lead for c in num), tuple(c / lead for c in den)
+
+
+@st.composite
+def operands(draw):
+    """A RatFunc built from its Euclidean reduction, not by the code under test."""
+    return _new(*_euclid(draw(numerators()), draw(denominators())))
+
+
+def _assert_reduces_to(r, num, den):
+    n, d = _euclid(num, den)
+    assert (r.num, r.den) == (n, d)
+    assert all(type(c) is F for c in r.num + r.den)
+    assert hash(r) == (hash(n[0]) if d == (F(1),) and len(n) == 1 else hash((n, d)))
+
+
+def _ppow(a, k):
+    out = (F(1),)
+    for _ in range(k):
+        out = _pmul(out, a)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(numerators(), denominators(), nonzero_coeffs)
+def test_constructor_matches_euclid(num, den, c):
+    # c * den covers the c*t^k denominators that must have c divided out
+    scaled = [c * x for x in den]
+    _assert_reduces_to(RatFunc(num, scaled), num, scaled)
+
+
+@settings(max_examples=120, deadline=None)
+@given(operands(), operands(), nonzero_coeffs, st.integers(-3, 3))
+def test_arithmetic_matches_euclid(a, b, c, k):
+    _assert_reduces_to(a + b, _padd(_pmul(a.num, b.den), _pmul(b.num, a.den)),
+                       _pmul(a.den, b.den))
+    _assert_reduces_to(a - b, _padd(_pmul(a.num, b.den), _pneg(_pmul(b.num, a.den))),
+                       _pmul(a.den, b.den))
+    _assert_reduces_to(a * b, _pmul(a.num, b.num), _pmul(a.den, b.den))
+    if b:
+        _assert_reduces_to(a / b, _pmul(a.num, b.den), _pmul(a.den, b.num))
+    _assert_reduces_to(-a, _pneg(a.num), a.den)
+    _assert_reduces_to(a * c, [x * c for x in a.num], a.den)
+    _assert_reduces_to(c + a, _padd(_pmul((c,), a.den), a.num), a.den)
+    if k >= 0:
+        _assert_reduces_to(a ** k, _ppow(a.num, k), _ppow(a.den, k))
+    elif a:
+        _assert_reduces_to(a ** k, _ppow(a.den, -k), _ppow(a.num, -k))
+
+
+def _sympy_of(sympy, t, r):
+    def poly(cs):
+        return sum(sympy.Rational(c.numerator, c.denominator) * t ** i for i, c in enumerate(cs))
+    return poly(r.num) / poly(r.den)
+
+
+def _reduced_pair(sympy, t, expr):
+    """sympy.cancel's numerator and denominator, scaled to a monic denominator."""
+    n, d = (sympy.Poly(p, t) for p in sympy.fraction(sympy.cancel(expr)))
+    lead = d.LC()
+
+    def coeffs(p):
+        return tuple(F(int(x.p), int(x.q)) for x in reversed([c / lead for c in p.all_coeffs()]))
+    return coeffs(n), coeffs(d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(operands(), operands())
+def test_arithmetic_matches_sympy(a, b):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    sa, sb = _sympy_of(sympy, t, a), _sympy_of(sympy, t, b)
+    cases = [(a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb), (a * b - a, sa * sb - sa)]
+    if b:
+        cases.append((a / b, sa / sb))
+    for ours, theirs in cases:
+        assert (ours.num, ours.den) == _reduced_pair(sympy, t, theirs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(operands(), operands())
+def test_limit_matches_sympy(a, b):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    for r in (a, a * b, a * b + b) + ((a / b,) if b else ()):
+        lim = sympy.limit(_sympy_of(sympy, t, r), t, 0)
+        if lim.is_finite:
+            assert r.limit_at_zero() == F(int(lim.p), int(lim.q))
+        else:
+            assert lim.is_infinite
+            with pytest.raises(Diverges):
+                r.limit_at_zero()
