@@ -14,7 +14,7 @@ from .algebra import (
 from .catalog import IsoWitness, instantiate, known_isomorphisms, sample_params
 from .derivations import delta_derivations, half_biderivations, pair_derivations
 from .dspecial import brackets_all_zero, commutator_bracket, derived_bracket
-from .enumeration import assoc_residual, check_membership, tp_family
+from .enumeration import check_membership, tp_family
 from .iso import distinguish, fingerprint, verify_witness
 from .scalars import QQ, QQ_T, RatFunc, limit_at_zero
 
@@ -25,7 +25,6 @@ __all__ = [
     "QQ",
     "QQ_T",
     "RatFunc",
-    "assoc_residual",
     "brackets_all_zero",
     "check_identity",
     "check_membership",

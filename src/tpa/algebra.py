@@ -343,16 +343,6 @@ def limit_pair(pair):
     return AlgebraPair(lim_sc(pair.mul), lim_sc(pair.bracket))
 
 
-def pair_over_qt(pair):
-    """Coerce a rational pair into Q(t) scalars."""
-    if pair.field is QQ_T:
-        return pair
-    return AlgebraPair(
-        pair.mul.map_scalars(QQ_T.coerce, QQ_T),
-        pair.bracket.map_scalars(QQ_T.coerce, QQ_T),
-    )
-
-
 # ---------------------------------------------------------------------------
 # JSON encoding
 # ---------------------------------------------------------------------------

@@ -25,11 +25,11 @@ from .algebra import (
     sc_to_entries,
 )
 from .catalog import CATALOG, InadmissibleParameter, UnknownId, instantiate, sample_params
-from .derivations import delta_derivations, half_biderivations
+from .derivations import NotALieAlgebra, delta_derivations, half_biderivations
 from .dspecial import derivation_matching_bracket, derived_bracket
-from .enumeration import assoc_residual, residual_is_zero, tp_family
+from .enumeration import member_pair, tp_family
 from .iso import FINGERPRINT_FIELDS, distinguish, fingerprint, verify_witness
-from .scalars import QQ
+from .scalars import QQ, ScalarParseError, parse_rational
 
 
 class CliError(Exception):
@@ -48,11 +48,15 @@ def _parse_params(args):
     for name in getattr(args, "_param_names", ()):
         v = getattr(args, name, None)
         if v is not None:
-            try:
-                out.append(Fraction(v))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise CliError(f"bad rational for --{name}: {v!r}") from exc
+            out.append(_rational(name, v))
     return out
+
+
+def _rational(name, text):
+    try:
+        return parse_rational(text)
+    except ScalarParseError as exc:
+        raise CliError(f"bad rational for --{name}: {text!r}") from exc
 
 
 def _load_pair(path):
@@ -106,10 +110,7 @@ def cmd_check(args):
 
 def cmd_der(args):
     pair = _resolve_input(args)
-    try:
-        delta = Fraction(args.delta)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"bad rational for --delta: {args.delta!r}") from exc
+    delta = _rational("delta", args.delta)
     space = delta_derivations(pair.bracket if not args.mul else pair.mul, delta)
     _emit({"delta": str(delta), **_space_doc(space)}, args.pretty)
     return 0
@@ -117,21 +118,25 @@ def cmd_der(args):
 
 def cmd_biderive(args):
     pair = _resolve_input(args)
-    space = half_biderivations(pair.bracket, symmetric=not args.full)
+    try:
+        space = half_biderivations(pair.bracket, symmetric=not args.full)
+    except NotALieAlgebra as exc:
+        raise CliError(str(exc)) from exc
     _emit(_space_doc(space), args.pretty)
     return 0
 
 
 def cmd_enumerate(args):
     pair = _resolve_input(args)
-    family = tp_family(pair.bracket)
+    try:
+        family = tp_family(pair.bracket)
+    except NotALieAlgebra as exc:
+        raise CliError(str(exc)) from exc
     grid = []
-    coords_grid = _sample_coords(family.dim)
-    for coords in coords_grid:
-        res = assoc_residual(family, coords)
+    for coords in _sample_coords(family.dim):
         grid.append({
             "coords": [QQ.format(c) for c in coords],
-            "residual_zero": residual_is_zero(res),
+            "residual_zero": check_identity(member_pair(family, coords), "associative").holds,
         })
     doc = {"family_dim": family.dim,
            "basis": _space_doc(family.space)["basis"],

@@ -22,7 +22,6 @@ from importlib import resources
 
 from . import linalg
 from .algebra import (
-    AlgebraPair,
     gl_action,
     limit_pair,
     matrix_from_json,
@@ -33,7 +32,7 @@ from .algebra import (
 from .catalog import instantiate
 from .derivations import pair_derivations
 from .iso import span_dims, verify_witness
-from .scalars import QQ, QQ_T, Diverges, RatFunc
+from .scalars import QQ, QQ_T, Diverges
 
 
 class SingularFamily(ValueError):
@@ -244,35 +243,6 @@ def necessary_checks(source, target, family_source=False):
     }
     report["ok"] = all(v for k, v in report.items() if k != "der_dims")
     return report
-
-
-# ---------------------------------------------------------------------------
-# small search tool: diagonal monomial bases t^a, t^b, t^c
-# ---------------------------------------------------------------------------
-
-def search_diagonal(source, target, bound=6):
-    """Try g = diag(t^a, t^b, t^c) with |a|,|b|,|c| <= bound as a degeneration
-    witness from source to target; returns (a, b, c) or None.  Sanity tool
-    only - most rows need non-diagonal bases."""
-    src = AlgebraPair(
-        source.mul.map_scalars(QQ_T.coerce, QQ_T),
-        source.bracket.map_scalars(QQ_T.coerce, QQ_T),
-    )
-    exps = range(-bound, bound + 1)
-    t = RatFunc((0, 1))
-    for a in exps:
-        for b in exps:
-            for c in exps:
-                g = [[t ** a, QQ_T.zero, QQ_T.zero],
-                     [QQ_T.zero, t ** b, QQ_T.zero],
-                     [QQ_T.zero, QQ_T.zero, t ** c]]
-                try:
-                    lim = limit_pair(gl_action(src, g))
-                except Diverges:
-                    continue
-                if pairs_equal(lim, target):
-                    return (a, b, c)
-    return None
 
 
 def rigid_component_members():

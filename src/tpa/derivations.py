@@ -1,12 +1,17 @@
-"""Nullspace solvers for derivation-type linear systems.
+"""Derivation-type linear systems, all written as rows of one builder.
 
-Three problems share one elimination core:
+``_map_rows`` states a phi(x*y) + b phi(x)*y + c x*phi(y) once, as
+coefficient rows in the entries of phi.  Everything else is read off
+those rows:
 
-* delta-derivations of a single multiplication:
+* delta-derivations of a single multiplication (their nullspace):
       phi(x*y) = delta (phi(x)*y + x*phi(y))
 * joint derivations of a pair (delta = 1 on both components),
+* the residual checker ``derivation_residual`` (rows times phi),
 * half-biderivations of a bracket: bilinear D that is a 1/2-derivation
-  in each argument, optionally restricted to symmetric D.
+  in each argument, the 1/2-derivation rows re-indexed onto the entries
+  of D, optionally restricted to symmetric D,
+* the derived bracket and the strong-D-special solve in ``dspecial``.
 
 Linear maps are stored as matrices P with P[r][c] = coefficient of e_r
 in phi(e_c) (columns are images of basis vectors, matching transport).
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from . import linalg
 from .algebra import is_lie
@@ -52,10 +58,8 @@ class SolutionSpace:
 
     def coords_of(self, elt):
         """Coordinates of elt in this basis, or None if not a member."""
-        if not self.basis:
-            return [] if not any(self._flatten(elt)) else None
-        cols = linalg.transpose([self._flatten(b) for b in self.basis])
-        return linalg.solve(cols, self._flatten(elt), self.field)
+        return linalg.in_span([self._flatten(b) for b in self.basis],
+                              self._flatten(elt), self.field)
 
     def contains(self, elt):
         return self.coords_of(elt) is not None
@@ -89,40 +93,50 @@ def _matrix_basis(vectors, n):
     return tuple(mats)
 
 
-def _derivation_rows(sc, delta):
-    """Rows of the linear system for delta-derivations, unknowns P[r][c]
-    flattened row-major."""
+def _map_rows(sc, a, b, c):
+    """The one statement of the derivation-type identities.
+
+    Row (i*n + j)*n + k holds the coefficients of the k-th coordinate of
+        a phi(e_i e_j) + b phi(e_i) e_j + c e_i phi(e_j)
+    in the unknowns P[r][m] of phi, flattened row-major.  The delta-
+    derivation condition is (1, -delta, -delta); the derived bracket
+    D(x).y - x.D(y) is (0, 1, -1).  All n^3 rows are returned, zero rows
+    included."""
     n = sc.dim
     field = sc.field
-    delta = field.coerce(delta)
+    a, b, c = (field.coerce(x) for x in (a, b, c))
+    t = sc.c
     rows = []
     for i in range(n):
         for j in range(n):
-            cij = sc.c[i][j]
+            tij = t[i][j]
             for k in range(n):
                 row = [field.zero] * (n * n)
-                # phi(e_i * e_j)_k = sum_m P[k][m] c[i][j][m]
-                for m in range(n):
-                    if cij[m]:
-                        row[k * n + m] = row[k * n + m] + cij[m]
-                # -delta (phi(e_i) * e_j)_k = -delta sum_r P[r][i] c[r][j][k]
+                if a:
+                    for m in range(n):
+                        if tij[m]:
+                            row[k * n + m] += a * tij[m]
                 for r in range(n):
-                    if sc.c[r][j][k]:
-                        row[r * n + i] = row[r * n + i] - delta * sc.c[r][j][k]
-                # -delta (e_i * phi(e_j))_k
-                for r in range(n):
-                    if sc.c[i][r][k]:
-                        row[r * n + j] = row[r * n + j] - delta * sc.c[i][r][k]
-                if any(row):
-                    rows.append(row)
+                    if t[r][j][k]:
+                        row[r * n + i] += b * t[r][j][k]
+                    if t[i][r][k]:
+                        row[r * n + j] += c * t[i][r][k]
+                rows.append(row)
     return rows
+
+
+def _apply(rows, mat, field):
+    """rows applied to the row-major flattening of mat."""
+    vec = [x for r in mat for x in r]
+    return [sum((x * y for x, y in zip(row, vec) if x), field.zero) for row in rows]
 
 
 def delta_derivations(sc, delta):
     """All phi with phi(x*y) = delta (phi(x)*y + x*phi(y)); delta = 1 gives
     ordinary derivations, delta = 1/2 the half-derivations."""
     n = sc.dim
-    vectors = linalg.nullspace(_derivation_rows(sc, delta), n * n, sc.field)
+    rows = [r for r in _map_rows(sc, 1, -delta, -delta) if any(r)]
+    vectors = linalg.nullspace(rows, n * n, sc.field)
     return SolutionSpace(n, "matrix", _matrix_basis(vectors, n), sc.field)
 
 
@@ -130,27 +144,19 @@ def derivation_residual(sc, mat, delta):
     """Exact residual phi(e_i e_j) - delta(phi(e_i) e_j + e_i phi(e_j));
     empty iff mat satisfies the system."""
     n = sc.dim
-    field = sc.field
-    delta = field.coerce(delta)
-    basis = linalg.identity(n, field)
+    values = _apply(_map_rows(sc, 1, -delta, -delta), mat, sc.field)
     out = []
-    for i in range(n):
-        for j in range(n):
-            lhs = linalg.mat_vec(mat, list(sc.prod(i, j)))
-            phi_i = [mat[r][i] for r in range(n)]
-            phi_j = [mat[r][j] for r in range(n)]
-            rhs1 = sc.evaluate(phi_i, basis[j])
-            rhs2 = sc.evaluate(basis[i], phi_j)
-            r = [a - delta * (b + c) for a, b, c in zip(lhs, rhs1, rhs2)]
-            if any(x for x in r):
-                out.append(((i + 1, j + 1), tuple(r)))
+    for p in range(n * n):
+        r = values[p * n:(p + 1) * n]
+        if any(r):
+            out.append(((p // n + 1, p % n + 1), tuple(r)))
     return out
 
 
 def pair_derivations(pair):
     """Joint 1-derivations of both components of a pair."""
     n = pair.dim
-    rows = _derivation_rows(pair.mul, 1) + _derivation_rows(pair.bracket, 1)
+    rows = [r for sc in (pair.mul, pair.bracket) for r in _map_rows(sc, 1, -1, -1) if any(r)]
     vectors = linalg.nullspace(rows, n * n, pair.field)
     return SolutionSpace(n, "matrix", _matrix_basis(vectors, n), pair.field)
 
@@ -188,47 +194,28 @@ def half_biderivations(bracket, symmetric=True):
         raise NotALieAlgebra("half-biderivations require an anticommutative Jacobi bracket")
     n = bracket.dim
     field = bracket.field
-    half = field.coerce(Fraction(1, 2))
     index, nunk = _bider_unknowns(n, symmetric)
-    br = bracket.c
+    # D(., e_z) and D(e_z, .) are 1/2-derivations of the bracket: unknown
+    # P[r][c] of the first is D(e_c, e_z)_r, of the second D(e_z, e_c)_r.
+    # For a Lie bracket row (j, i, k) is minus row (i, j, k) and row
+    # (i, i, k) vanishes, so rows with i < j suffice.
+    half = Fraction(1, 2)
+    labels = product(range(n), repeat=3)
+    lie_rows = [row for (i, j, _), row in zip(labels, _map_rows(bracket, 1, -half, -half))
+                if i < j and any(row)]
+    slots = [lambda c, z, r: (c, z, r)]
+    if not symmetric:  # for symmetric D the second slot names the same unknowns
+        slots.append(lambda c, z, r: (z, c, r))
     rows = []
-
-    def first_arg_rows(i, j, z):
-        # D([e_i,e_j], e_z)_m - 1/2([D(e_i,e_z),e_j]_m + [e_i,D(e_j,e_z)]_m)
-        for m in range(n):
-            row = [field.zero] * nunk
-            for r in range(n):
-                if br[i][j][r]:
-                    row[index[(r, z, m)]] += br[i][j][r]
-                if br[r][j][m]:
-                    row[index[(i, z, r)]] -= half * br[r][j][m]
-                if br[i][r][m]:
-                    row[index[(j, z, r)]] -= half * br[i][r][m]
-            if any(row):
-                rows.append(row)
-
-    def second_arg_rows(x, j, k):
-        # D(e_x, [e_j,e_k])_m - 1/2([D(e_x,e_j),e_k]_m + [e_j,D(e_x,e_k)]_m)
-        for m in range(n):
-            row = [field.zero] * nunk
-            for r in range(n):
-                if br[j][k][r]:
-                    row[index[(x, r, m)]] += br[j][k][r]
-                if br[r][k][m]:
-                    row[index[(x, j, r)]] -= half * br[r][k][m]
-                if br[j][r][m]:
-                    row[index[(x, k, r)]] -= half * br[j][r][m]
-            if any(row):
-                rows.append(row)
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            for z in range(n):
-                first_arg_rows(i, j, z)
-    for x in range(n):
-        for j in range(n):
-            for k in range(j + 1, n):
-                second_arg_rows(x, j, k)
+    for slot in slots:
+        for z in range(n):
+            for row in lie_rows:
+                new = [field.zero] * nunk
+                for p, v in enumerate(row):
+                    if v:
+                        r, c = divmod(p, n)
+                        new[index[slot(c, z, r)]] += v
+                rows.append(new)
 
     vectors = linalg.nullspace(rows, nunk, field)
     tensors = []

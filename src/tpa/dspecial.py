@@ -5,7 +5,9 @@ A derivation D of a commutative associative algebra induces the bracket
 strong D-special transposed Poisson algebras.  Because the construction
 is equivariant under basis change, a pair is strong D-special iff some
 derivation of its *own* product reproduces its bracket - an exactly
-solvable linear feasibility problem (the bracket is linear in D).
+solvable linear feasibility problem (the bracket is linear in D).  The
+derived bracket and that problem are both read off the coefficient rows
+``derivations._map_rows`` builds, so no identity is restated here.
 
 The module also covers the Novikov-commutator computations used for the
 two 2-dimensional exceptional pairs.
@@ -22,7 +24,7 @@ from .algebra import (
     is_commutative_associative,
 )
 from .catalog import instantiate
-from .derivations import delta_derivations, derivation_residual
+from .derivations import _apply, _map_rows, delta_derivations, derivation_residual
 
 
 class NotADerivation(ValueError):
@@ -34,19 +36,10 @@ def derived_bracket(comm, d):
     if derivation_residual(comm, d, 1):
         raise NotADerivation("matrix is not a derivation of the product")
     n = comm.dim
-    field = comm.field
-    basis = linalg.identity(n, field)
-    c = []
-    for i in range(n):
-        di = [d[r][i] for r in range(n)]
-        plane = []
-        for j in range(n):
-            dj = [d[r][j] for r in range(n)]
-            left = comm.evaluate(di, basis[j])
-            right = comm.evaluate(basis[i], dj)
-            plane.append(tuple(x - y for x, y in zip(left, right)))
-        c.append(tuple(plane))
-    return StructureConstants(n, field, tuple(c))
+    v = _apply(_map_rows(comm, 0, 1, -1), d, comm.field)
+    c = tuple(tuple(tuple(v[(i * n + j) * n:(i * n + j + 1) * n]) for j in range(n))
+              for i in range(n))
+    return StructureConstants(n, comm.field, c)
 
 
 def brackets_all_zero(comm):
@@ -76,23 +69,18 @@ def commutator_bracket(mul2):
 
 def derivation_matching_bracket(mul, bracket):
     """A derivation D of ``mul`` with derived bracket equal to ``bracket``,
-    or None when the linear system is inconsistent."""
-    der = delta_derivations(mul, 1)
+    or None when the linear system is inconsistent.
+
+    One solve: the derivation rows with right-hand side 0, stacked on all
+    n^3 derived-bracket rows with the bracket as right-hand side.  Zero
+    rows stay in: a bracket entry no derivation reaches is such a row
+    with a nonzero right-hand side, and makes the system inconsistent."""
     n = mul.dim
-    if not der.basis:
-        zero = [[mul.field.zero] * n for _ in range(n)]
-        return zero if bracket.is_zero() else None
-    derived = [derived_bracket(mul, d) for d in der.basis]
-    rows, rhs = [], []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                rows.append([dt.c[i][j][k] for dt in derived])
-                rhs.append(bracket.c[i][j][k])
-    coords = linalg.solve(rows, rhs, mul.field)
-    if coords is None:
-        return None
-    return [list(r) for r in der.combine(coords)]
+    field = mul.field
+    rows = [r for r in _map_rows(mul, 1, -1, -1) if any(r)]
+    rhs = [field.zero] * len(rows) + [v for plane in bracket.c for row in plane for v in row]
+    x = linalg.solve(rows + _map_rows(mul, 0, 1, -1), rhs, field)
+    return None if x is None else [x[r * n:(r + 1) * n] for r in range(n)]
 
 
 def is_strong_d_special(pair):

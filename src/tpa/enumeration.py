@@ -3,8 +3,9 @@
 The symmetric half-biderivations of a Lie bracket form a linear space;
 inside it, the products that really extend the bracket to a transposed
 Poisson pair are cut out by the (quadratic) associativity condition.
-This module exposes the linear family, its associativity residual at a
-coordinate vector, and exact membership testing.
+This module exposes the linear family, the pair of its member at a
+coordinate vector (checked for associativity by ``algebra.check_identity``,
+the one statement of that identity), and exact membership testing.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import AlgebraPair, StructureConstants
+from .algebra import AlgebraPair, StructureConstants, check_identity
 from .derivations import NotALieAlgebra, SolutionSpace, half_biderivations
 
 
@@ -32,36 +33,18 @@ def tp_family(lie):
     return ProductFamily(lie, half_biderivations(lie, symmetric=True))
 
 
-def assoc_residual(family, coords):
-    """Associativity residual tensor r[i][j][k] = (e_i e_j) e_k - e_i (e_j e_k)
-    for the member sum coords[m] * basis[m]."""
-    tensor = family.space.combine(coords)
-    sc = StructureConstants(family.lie.dim, family.lie.field, tensor)
-    n = sc.dim
-    basis = linalg.identity(n, sc.field)
-    out = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                left = sc.evaluate(sc.prod(i, j), basis[k])
-                right = sc.evaluate(basis[i], sc.prod(j, k))
-                row.append(tuple(x - y for x, y in zip(left, right)))
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return tuple(out)
-
-
-def residual_is_zero(residual):
-    return not any(v for plane in residual for row in plane for vec in row for v in vec)
-
-
 def member_pair(family, coords):
+    """The pair (sum coords[m] * basis[m], bracket) of a family member."""
     tensor = family.space.combine(coords)
     return AlgebraPair(
         StructureConstants(family.lie.dim, family.lie.field, tensor), family.lie
     )
+
+
+def assoc_residual(family, coords):
+    """Associativity violations of the member at ``coords``.  Kept by name
+    for ``perfbench/spans.py``, which traces it."""
+    return check_identity(member_pair(family, coords), "associative").violations
 
 
 def check_membership(lie, product):

@@ -31,10 +31,6 @@ def identity(n, field):
     return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
 
 
-def zeros(rows, cols, field):
-    return [[field.zero] * cols for _ in range(rows)]
-
-
 def mat_mul(a, b):
     if len(b) != len(a[0]):
         raise DimensionMismatch("matrix product shape mismatch")

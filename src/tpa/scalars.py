@@ -138,6 +138,10 @@ class RatFunc:
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("RatFunc is immutable")
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild from the stored, already reduced form
+        return (_new, (self.num, self.den))
+
     # -- coercion ----------------------------------------------------------
     @staticmethod
     def _lift(v):
@@ -466,6 +470,8 @@ class _RationalField:
     def __repr__(self):
         return "QQ"
 
+    __reduce__ = __repr__  # a singleton: pickle and deepcopy keep it by name
+
 
 class _RatFuncField:
     name = "Q(t)"
@@ -484,10 +490,8 @@ class _RatFuncField:
     def __repr__(self):
         return "QQ_T"
 
+    __reduce__ = __repr__  # a singleton: pickle and deepcopy keep it by name
+
 
 QQ = _RationalField()
 QQ_T = _RatFuncField()
-
-
-def field_of(value):
-    return QQ_T if isinstance(value, RatFunc) else QQ

@@ -48,7 +48,7 @@ from .dspecial import (
     n02_obstruction_report,
     novikov_commutator_pair,
 )
-from .enumeration import assoc_residual, residual_is_zero, tp_family
+from .enumeration import member_pair, tp_family
 from .iso import fingerprint, verify_witness
 from .scalars import QQ, RatFunc
 
@@ -198,7 +198,7 @@ def claim_enumeration(seed=None):
     for _ in range(20):
         prod = g1_family_product(*(_rand_fraction(rng) for _ in range(3)))
         coords = fam.space.coords_of(prod.c)
-        if coords is None or not residual_is_zero(assoc_residual(fam, coords)):
+        if coords is None or not check_identity(member_pair(fam, coords), "associative").holds:
             g1_ok = False
     details["g1_grid_residual_zero"] = g1_ok
     ok = ok and g1_ok
@@ -213,7 +213,7 @@ def claim_enumeration(seed=None):
                 if coords is None:
                     good = False
                     continue
-                zero = residual_is_zero(assoc_residual(fam, coords))
+                zero = check_identity(member_pair(fam, coords), "associative").holds
                 if kind == "sat" and not (condition(*pt) and zero):
                     good = False
                 if kind == "viol" and (condition(*pt) or zero):

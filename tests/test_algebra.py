@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -179,6 +181,19 @@ def test_json_qt_roundtrip():
     pair = instantiate("T12", [QQ_T.parse("t")], field=QQ_T)
     back = pair_from_json(pair_to_json(pair))
     assert pairs_equal(back, pair)
+
+
+@pytest.mark.parametrize("field", ["Q", "Q(t)"])
+def test_pickle_and_deepcopy_roundtrip(field):
+    from tpa.scalars import QQ_T
+
+    if field == "Q":
+        pair = instantiate("T12", [F(3, 2)])
+    else:
+        pair = instantiate("T12", [QQ_T.parse("1/t + t^2")], field=QQ_T)
+    for back in (pickle.loads(pickle.dumps(pair)), copy.deepcopy(pair)):
+        assert back == pair and hash(back) == hash(pair)
+        assert back.field is pair.field
 
 
 def test_limit_pair():

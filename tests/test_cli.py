@@ -139,6 +139,10 @@ def test_iso_missing_file_exit_2(capsys):
                  "--witness", "/nonexistent.json"]) == 2
 
 
+#: a bracket that is not anticommutative
+NOT_LIE = '{"dim": 2, "bracket": [[1, 1, 1, "1"]]}'
+
+
 @pytest.mark.parametrize("command, files", [
     (["check"], {"input": '{"dim": 3, "mul": [[1, 1, 1, "1/0"]]}'}),
     (["check"], {"input": "[1, 2]"}),
@@ -150,8 +154,13 @@ def test_iso_missing_file_exit_2(capsys):
                "witness": '[["1", "0"], ["0", "1"]]'}),
     (["check"], {"input": '{"dim": 3, "mul": [[1, 1, 1, "t^999999999"]]}'}),
     (["degenerate", "--row", "42"], {}),
+    (["biderive"], {"input": NOT_LIE}),
+    (["enumerate"], {"input": NOT_LIE}),
+    (["der", "--lie", "g2", "--alpha", "1", "--delta", "1e2000000"], {}),
+    (["check", "--id", "g2", "--alpha", "1e400"], {}),
 ], ids=["zero-denominator", "top-level-list", "three-field-entry", "mul-not-a-list",
-        "negative-dim", "witness-shape", "t-exponent-too-large", "unknown-row"])
+        "negative-dim", "witness-shape", "t-exponent-too-large", "unknown-row",
+        "biderive-not-lie", "enumerate-not-lie", "delta-exponent", "alpha-exponent"])
 def test_malformed_input_exit_2(tmp_path, capsys, command, files):
     argv = list(command)
     for flag, text in files.items():

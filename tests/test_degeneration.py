@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tpa.algebra import AlgebraPair, StructureConstants, pairs_equal
+from tpa.algebra import AlgebraPair, StructureConstants
 from tpa.catalog import instantiate
 from tpa.degeneration import (
     DegenerationInstance,
@@ -13,7 +13,6 @@ from tpa.degeneration import (
     orbit_dim,
     reachable_targets,
     row_numbers,
-    search_diagonal,
     verify_all,
     verify_instance,
     verify_row,
@@ -192,30 +191,6 @@ def test_row_without_samples_rejected():
     inst = Unsampled(**{f: getattr(row1, f) for f in row1.__dataclass_fields__})
     with pytest.raises(ValueError):
         verify_instance(inst)
-
-
-def _diagonal_witness_works(source, target, exps):
-    from tpa.algebra import gl_action, limit_pair
-    from tpa.scalars import QQ_T, T
-
-    src = AlgebraPair(
-        source.mul.map_scalars(QQ_T.coerce, QQ_T),
-        source.bracket.map_scalars(QQ_T.coerce, QQ_T),
-    )
-    g = [[T ** exps[i] if i == j else QQ_T.zero for j in range(3)] for i in range(3)]
-    return pairs_equal(limit_pair(gl_action(src, g)), target)
-
-
-def test_search_finds_diagonal_rows():
-    # diag(t^a, t^b, t^c) suffices for the scaling-type rows; the first hit
-    # in scan order is returned and must itself verify
-    t14, t15 = instantiate("T14"), instantiate("T15")
-    got = search_diagonal(t14, t15, bound=2)
-    assert got is not None and _diagonal_witness_works(t14, t15, got)
-    t04, t03 = instantiate("T04", [F(2)]), instantiate("T03", [F(2)])
-    got = search_diagonal(t04, t03, bound=2)
-    assert got is not None and _diagonal_witness_works(t04, t03, got)
-    assert search_diagonal(instantiate("T02"), instantiate("T05"), bound=1) is None
 
 
 def test_reachable_targets_closure():

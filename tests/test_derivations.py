@@ -1,10 +1,11 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tpa import linalg
-from tpa.algebra import StructureConstants
-from tpa.catalog import instantiate
+from tpa.algebra import StructureConstants, transport
+from tpa.catalog import instantiate, t_series_samples
 from tpa.derivations import (
     NotALieAlgebra,
     delta_derivations,
@@ -80,10 +81,10 @@ def test_sl2_half_derivations_scalars_only():
 def test_heisenberg_half_derivations_regression():
     # no tabulated value exists; frozen from the solver and cross-checked
     # against the rank oracle
-    from tpa.derivations import _derivation_rows
+    from tpa.derivations import _map_rows
 
     br = lie("h")
-    rows = _derivation_rows(br, F(1, 2))
+    rows = _map_rows(br, 1, -F(1, 2), -F(1, 2))
     space = delta_derivations(br, F(1, 2))
     space_dim_oracle(space, rows, 9)
     assert space.dim == 6
@@ -194,3 +195,97 @@ def test_biderivation_members_satisfy_both_identities():
                     r1 = br.evaluate(list(d.prod(i, z)), basis(j))
                     r2 = br.evaluate(basis(i), list(d.prod(j, z)))
                     assert lhs == [half * (a + b) for a, b in zip(r1, r2)]
+
+
+# -- the solution spaces against conditions written in sympy ------------------
+#
+# The oracle states each condition on whole vectors with sympy Matrix
+# arithmetic (no coefficient rows), solves it with sympy, and compares the
+# row space of its solutions with the row space of the basis found here.
+
+def _bilinear(sympy, planes):
+    """(x, y) -> the vector with coordinates x^T planes[k] y, on sympy
+    column vectors."""
+    return lambda x, y: sympy.Matrix([(x.T * p * y)[0] for p in planes])
+
+
+def _sympy_product(sympy, tensor):
+    n = len(tensor)
+    return _bilinear(sympy, [sympy.Matrix(n, n, lambda i, j, k=k: sympy.Rational(tensor[i][j][k]))
+                             for k in range(n)])
+
+
+def _sympy_solutions(sympy, equations, unknowns, coordinates):
+    """Row-reduced matrix of the solution space of the linear equations;
+    ``coordinates`` lists the unknown sitting at each flat coordinate."""
+    flat = [e for v in equations for e in v]
+    a, _ = sympy.linear_eq_to_matrix(flat, unknowns)
+    sols = [dict(zip(unknowns, v)) for v in a.nullspace()]
+    return sympy.Matrix([[s[x] for x in coordinates] for s in sols]).rref()[0] if sols else None
+
+
+def _our_solutions(sympy, vectors):
+    if not vectors:
+        return None
+    return sympy.Matrix([[sympy.Rational(x) for x in v] for v in vectors]).rref()[0]
+
+
+@st.composite
+def transported_samples(draw):
+    """A T-series sample in a basis drawn by hypothesis (dense tensors)."""
+    tid, params, pair = draw(st.sampled_from(t_series_samples()))
+    g = [[F(draw(st.integers(-2, 2))) for _ in range(3)] for _ in range(3)]
+    assume(linalg.det(g, QQ))
+    return transport(pair, g)
+
+
+@settings(max_examples=15, deadline=None)
+@given(transported_samples(), st.sampled_from([F(1), F(1, 2)]))
+def test_delta_derivations_match_sympy(pair, delta):
+    sympy = pytest.importorskip("sympy")
+    n = pair.dim
+    syms = sympy.symbols(f"p0:{n * n}")
+    p = sympy.Matrix(n, n, syms)
+    e = sympy.eye(n)
+    d = sympy.Rational(delta)
+    for sc in (pair.mul, pair.bracket):
+        mul = _sympy_product(sympy, sc.c)
+        eqs = [p * mul(x, y) - d * (mul(p * x, y) + mul(x, p * y))
+               for x in e.columnspace() for y in e.columnspace()]
+        theirs = _sympy_solutions(sympy, eqs, syms, syms)
+        space = delta_derivations(sc, delta)
+        ours = _our_solutions(sympy, [[x for r in m for x in r] for m in space.basis])
+        assert ours == theirs
+
+
+@settings(max_examples=10, deadline=None)
+@given(transported_samples(), st.booleans())
+def test_half_biderivations_match_sympy(pair, symmetric):
+    sympy = pytest.importorskip("sympy")
+    n = pair.dim
+    br = _sympy_product(sympy, pair.bracket.c)
+    syms = sympy.symbols(f"b0:{n ** 3}")
+
+    def unknown(i, j, k):  # the e_k coordinate of D(e_i, e_j)
+        if symmetric:
+            i, j = min(i, j), max(i, j)
+        return syms[(i * n + j) * n + k]
+
+    planes = [sympy.Matrix(n, n, lambda i, j, k=k: unknown(i, j, k)) for k in range(n)]
+    unknowns = sorted({s for pl in planes for s in pl}, key=syms.index)
+    bider = _bilinear(sympy, planes)
+    half = sympy.Rational(1, 2)
+    basis = sympy.eye(n).columnspace()
+    eqs = []
+    for x in basis:
+        for y in basis:
+            for z in basis:
+                eqs.append(bider(br(x, y), z) - half * (br(bider(x, z), y) + br(x, bider(y, z))))
+                eqs.append(bider(x, br(y, z)) - half * (br(bider(x, y), z) + br(y, bider(x, z))))
+
+    coordinates = [pl[i, j] for i in range(n) for j in range(n) for pl in planes]
+    theirs = _sympy_solutions(sympy, eqs, unknowns, coordinates)
+    space = half_biderivations(pair.bracket, symmetric=symmetric)
+    ours = _our_solutions(sympy, [[t[i][j][k] for i in range(n) for j in range(n) for k in range(n)]
+                                  for t in space.basis])
+    assert ours == theirs

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from tpa.algebra import AlgebraPair, is_transposed_poisson, pairs_equal
-from tpa.catalog import instantiate, sample_params
+from tpa import linalg
+from tpa.algebra import AlgebraPair, is_transposed_poisson, pairs_equal, transport
+from tpa.catalog import instantiate, sample_params, t_series_samples
 from tpa.derivations import delta_derivations
 from tpa.dspecial import (
     DERIVATION_FAMILIES,
@@ -18,6 +20,7 @@ from tpa.dspecial import (
     novikov_commutator_pair,
 )
 from tpa.iso import verify_witness
+from tpa.scalars import QQ
 from tpa.verify import COMPUTED_NEGATIVE
 
 
@@ -225,3 +228,32 @@ def test_double_labelled_families_are_distinct():
     fa = dict(zip(FINGERPRINT_FIELDS, fingerprint(d06)))
     fb = dict(zip(FINGERPRINT_FIELDS, fingerprint(d06b)))
     assert fa["dim_sq"] == 3 and fb["dim_sq"] == 2
+
+
+def _two_step_matching_derivation(mul, bracket):
+    """Reference for the one-solve feasibility: a derivation basis, the
+    derived bracket of each basis element, then a solve for coordinates."""
+    der = delta_derivations(mul, 1)
+    n = mul.dim
+    if not der.basis:
+        return [[mul.field.zero] * n for _ in range(n)] if bracket.is_zero() else None
+    derived = [derived_bracket(mul, d) for d in der.basis]
+    rows = [[dt.c[i][j][k] for dt in derived]
+            for i in range(n) for j in range(n) for k in range(n)]
+    rhs = [v for plane in bracket.c for row in plane for v in row]
+    coords = linalg.solve(rows, rhs, mul.field)
+    return None if coords is None else [list(r) for r in der.combine(coords)]
+
+
+def test_feasibility_matches_two_step_reference():
+    # the same derivation (not only the same verdict) on the 70 T-series
+    # samples and on a dense GL(3,Q) transport of each
+    rng = random.Random(6)
+    for tid, params, pair in t_series_samples():
+        while True:
+            g = [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)] for _ in range(3)]
+            if linalg.det(g, QQ):
+                break
+        for p in (pair, transport(pair, g)):
+            got = derivation_matching_bracket(p.mul, p.bracket)
+            assert got == _two_step_matching_derivation(p.mul, p.bracket), (tid, params, g)
