@@ -7,7 +7,13 @@ candidate and a bracket candidate over a common scalar field; nothing is
 assumed about either component, the checkers establish identities.
 
 All identity checks run over basis instantiations, which is sound and
-complete by multilinearity.
+complete by multilinearity.  ``_map_rows`` states the derivation-type
+identity a phi(x*y) + b phi(x)*y + c x*phi(y) once, as coefficient rows in
+the entries of phi; associativity, the transposed rule and the Leibniz
+rule are those rows applied to multiplication operators (see
+``_IDENTITY_CHECKS``), and the solvers in ``derivations`` and
+``dspecial`` take their nullspaces.  Jacobi keeps its cyclic i < j < k
+form: it is a derivation statement only for anticommutative brackets.
 """
 
 from __future__ import annotations
@@ -117,6 +123,57 @@ class AlgebraPair:
 
 
 # ---------------------------------------------------------------------------
+# derivation-type rows
+# ---------------------------------------------------------------------------
+
+def operator_matrix(sc, z, left=False):
+    """Matrix of x -> x e_z (of x -> e_z x when ``left``); column c is the
+    image of e_c, the layout ``_map_rows`` expects."""
+    n = sc.dim
+    if left:
+        return [[sc.c[z][c][r] for c in range(n)] for r in range(n)]
+    return [[sc.c[c][z][r] for c in range(n)] for r in range(n)]
+
+
+def _map_rows(sc, a, b, c):
+    """The one statement of the derivation-type identities.
+
+    Row (i*n + j)*n + k holds the coefficients of the k-th coordinate of
+        a phi(e_i e_j) + b phi(e_i) e_j + c e_i phi(e_j)
+    in the unknowns P[r][m] of phi, flattened row-major.  The delta-
+    derivation condition is (1, -delta, -delta); the derived bracket
+    D(x).y - x.D(y) is (0, 1, -1).  All n^3 rows are returned, zero rows
+    included."""
+    n = sc.dim
+    field = sc.field
+    a, b, c = (field.coerce(x) for x in (a, b, c))
+    t = sc.c
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            tij = t[i][j]
+            for k in range(n):
+                row = [field.zero] * (n * n)
+                if a:
+                    for m in range(n):
+                        if tij[m]:
+                            row[k * n + m] += a * tij[m]
+                for r in range(n):
+                    if t[r][j][k]:
+                        row[r * n + i] += b * t[r][j][k]
+                    if t[i][r][k]:
+                        row[r * n + j] += c * t[i][r][k]
+                rows.append(row)
+    return rows
+
+
+def _apply(rows, mat, field):
+    """rows applied to the row-major flattening of mat."""
+    vec = [x for r in mat for x in r]
+    return [sum((x * y for x, y in zip(row, vec) if x and y), field.zero) for row in rows]
+
+
+# ---------------------------------------------------------------------------
 # basis transport / GL action
 # ---------------------------------------------------------------------------
 
@@ -206,22 +263,6 @@ def _anticommutative(pair):
     return out
 
 
-def _associative(pair):
-    mul = pair.mul
-    out = []
-    for i in range(mul.dim):
-        for j in range(mul.dim):
-            for k in range(mul.dim):
-                ek = [mul.field.one if t == k else mul.field.zero for t in range(mul.dim)]
-                left = mul.evaluate(mul.prod(i, j), ek)
-                ei = [mul.field.one if t == i else mul.field.zero for t in range(mul.dim)]
-                right = mul.evaluate(ei, mul.prod(j, k))
-                r = _vec_sub(left, right)
-                if _nonzero(r):
-                    out.append(((i + 1, j + 1, k + 1), tuple(r)))
-    return out
-
-
 def _jacobi(pair):
     """Jacobi on ordered triples i < j < k; with anticommutativity this
     covers all instantiations (checked separately by `anticommutative`)."""
@@ -249,53 +290,39 @@ def _jacobi(pair):
     return out
 
 
-def _transposed_leibniz(pair):
-    """Residual of 2 z.[x,y] = [z.x, y] + [x, z.y] on basis triples."""
-    mul, br = pair.mul, pair.bracket
-    n = mul.dim
-    basis = linalg.identity(n, mul.field)
-    two = mul.field.coerce(2)
+def _operator_identity(rows_sc, coeffs, op_sc, left=False):
+    """Violations of the (a, b, c) rows of ``rows_sc`` at the operators
+    x -> x e_z of ``op_sc`` (e_z x when ``left``), labelled (i, j, z)."""
+    n = rows_sc.dim
+    rows = _map_rows(rows_sc, *coeffs)
+    values = [_apply(rows, operator_matrix(op_sc, z, left), rows_sc.field) for z in range(n)]
     out = []
-    for k in range(n):  # z
-        for i in range(n):
-            for j in range(n):
-                left = [two * v for v in mul.evaluate(basis[k], br.prod(i, j))]
-                r1 = br.evaluate(mul.prod(k, i), basis[j])
-                r2 = br.evaluate(basis[i], mul.prod(k, j))
-                r = [a - b - c for a, b, c in zip(left, r1, r2)]
-                if _nonzero(r):
-                    out.append(((i + 1, j + 1, k + 1), tuple(r)))
-    return out
-
-
-def _leibniz(pair):
-    """Residual of the classical rule [x.y, z] = x.[y,z] + [x,z].y."""
-    mul, br = pair.mul, pair.bracket
-    n = mul.dim
-    basis = linalg.identity(n, mul.field)
-    out = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                left = br.evaluate(mul.prod(i, j), basis[k])
-                r1 = mul.evaluate(basis[i], br.prod(j, k))
-                r2 = mul.evaluate(br.prod(i, k), basis[j])
-                r = [a - b - c for a, b, c in zip(left, r1, r2)]
-                if _nonzero(r):
-                    out.append(((i + 1, j + 1, k + 1), tuple(r)))
+    for p in range(n * n):
+        for z in range(n):
+            r = values[z][p * n:(p + 1) * n]
+            if _nonzero(r):
+                out.append(((p // n + 1, p % n + 1, z + 1), tuple(r)))
     return out
 
 
 _IDENTITY_CHECKS = {
     "commutative": _commutative,
-    "associative": _associative,
+    # (x.y).z - x.(y.z): right multiplication by z against rows (1, 0, -1)
+    "associative": lambda p: _operator_identity(p.mul, (1, 0, -1), p.mul),
     "anticommutative": _anticommutative,
     "jacobi": _jacobi,
-    "transposed_leibniz": _transposed_leibniz,
-    "leibniz": _leibniz,
+    # 2 z.[x,y] - [z.x, y] - [x, z.y]: left multiplication by z against the
+    # 1/2-derivation rows of the bracket, scaled by 2
+    "transposed_leibniz": lambda p: _operator_identity(p.bracket, (2, -1, -1), p.mul, left=True),
+    # [x.y, z] - [x,z].y - x.[y,z]: ad_z = [., z] against the derivation rows
+    # of the product
+    "leibniz": lambda p: _operator_identity(p.mul, (1, -1, -1), p.bracket),
 }
 
 IDENTITIES = tuple(_IDENTITY_CHECKS)
+TRANSPOSED_POISSON_AXIOMS = ("commutative", "associative", "anticommutative", "jacobi",
+                             "transposed_leibniz")
+POISSON_AXIOMS = TRANSPOSED_POISSON_AXIOMS[:4] + ("leibniz",)
 
 
 def check_identity(pair, which):
@@ -317,18 +344,12 @@ def is_commutative_associative(sc):
 
 def is_transposed_poisson(pair):
     """Commutative + associative + anticommutative + Jacobi + transposed rule."""
-    return all(
-        check_identity(pair, w).holds
-        for w in ("commutative", "associative", "anticommutative", "jacobi", "transposed_leibniz")
-    )
+    return all(check_identity(pair, w).holds for w in TRANSPOSED_POISSON_AXIOMS)
 
 
 def is_poisson(pair):
     """The classical compatibility: base identities plus the Leibniz rule."""
-    return all(
-        check_identity(pair, w).holds
-        for w in ("commutative", "associative", "anticommutative", "jacobi", "leibniz")
-    )
+    return all(check_identity(pair, w).holds for w in POISSON_AXIOMS)
 
 
 # ---------------------------------------------------------------------------

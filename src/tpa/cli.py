@@ -15,9 +15,9 @@ from fractions import Fraction
 from . import degeneration, verify as verify_mod
 from .algebra import (
     IDENTITIES,
+    POISSON_AXIOMS,
+    TRANSPOSED_POISSON_AXIOMS,
     check_identity,
-    is_poisson,
-    is_transposed_poisson,
     matrix_from_json,
     matrix_to_json,
     pair_from_json,
@@ -99,8 +99,8 @@ def cmd_check(args):
     idents = {w: check_identity(pair, w).holds for w in IDENTITIES}
     doc = {
         "identities": idents,
-        "transposed_poisson": is_transposed_poisson(pair),
-        "poisson": is_poisson(pair),
+        "transposed_poisson": all(idents[w] for w in TRANSPOSED_POISSON_AXIOMS),
+        "poisson": all(idents[w] for w in POISSON_AXIOMS),
     }
     if getattr(args, "id", None):
         doc = {"id": args.id, **doc}
@@ -179,7 +179,7 @@ def cmd_fingerprint(args):
 
 def cmd_dspecial(args):
     try:
-        pair = instantiate(args.comm) if args.comm else _resolve_input(args)
+        pair = instantiate(args.comm, _parse_params(args)) if args.comm else _resolve_input(args)
     except (UnknownId, InadmissibleParameter) as exc:
         raise CliError(str(exc)) from exc
     comm = pair.mul
@@ -276,7 +276,7 @@ def build_parser():
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("der", help="delta-derivations of a bracket (or product)")
-    _add_algebra_source(p, params=("alpha", "beta", "gamma"))
+    _add_algebra_source(p, params=("alpha", "beta", "gamma", "epsilon"))
     p.add_argument("--delta", default="1/2", help="the delta, e.g. 1/2 or 1")
     p.add_argument("--mul", action="store_true",
                    help="solve on the product instead of the bracket")

@@ -149,10 +149,6 @@ def _rows_from_data(data):
     return rows
 
 
-def row_numbers():
-    return sorted({inst.row for inst in load_rows()})
-
-
 def verify_instance(inst, index=0):
     """Run one table instance: act, take the limit, compare with the target,
     then evaluate the closed necessary conditions at the rational curve
@@ -257,23 +253,3 @@ def rigid_component_members():
         ("T17", (Fraction(1),)),
         ("T17", (Fraction(2),)),
     ]
-
-
-def reachable_targets(reports):
-    """id-level transitive closure of the verified table rows."""
-    edges = {}
-    for rep in reports:
-        if rep.verified:
-            edges.setdefault(rep.source[0], set()).add(rep.target[0])
-    closure = {k: set(v) for k, v in edges.items()}
-    changed = True
-    while changed:
-        changed = False
-        for src, tgts in closure.items():
-            new = set()
-            for t in tgts:
-                new |= closure.get(t, set())
-            if not new <= tgts:
-                tgts |= new
-                changed = True
-    return closure

@@ -1,7 +1,7 @@
 """Derivation-type linear systems, all written as rows of one builder.
 
-``_map_rows`` states a phi(x*y) + b phi(x)*y + c x*phi(y) once, as
-coefficient rows in the entries of phi.  Everything else is read off
+``algebra._map_rows`` states a phi(x*y) + b phi(x)*y + c x*phi(y) once,
+as coefficient rows in the entries of phi.  Everything here is read off
 those rows:
 
 * delta-derivations of a single multiplication (their nullspace):
@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import linalg
-from .algebra import is_lie
+from .algebra import _apply, _map_rows, is_lie
 
 
 class NotALieAlgebra(ValueError):
@@ -91,44 +91,6 @@ def _matrix_basis(vectors, n):
     for v in vectors:
         mats.append(tuple(tuple(v[r * n + c] for c in range(n)) for r in range(n)))
     return tuple(mats)
-
-
-def _map_rows(sc, a, b, c):
-    """The one statement of the derivation-type identities.
-
-    Row (i*n + j)*n + k holds the coefficients of the k-th coordinate of
-        a phi(e_i e_j) + b phi(e_i) e_j + c e_i phi(e_j)
-    in the unknowns P[r][m] of phi, flattened row-major.  The delta-
-    derivation condition is (1, -delta, -delta); the derived bracket
-    D(x).y - x.D(y) is (0, 1, -1).  All n^3 rows are returned, zero rows
-    included."""
-    n = sc.dim
-    field = sc.field
-    a, b, c = (field.coerce(x) for x in (a, b, c))
-    t = sc.c
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            tij = t[i][j]
-            for k in range(n):
-                row = [field.zero] * (n * n)
-                if a:
-                    for m in range(n):
-                        if tij[m]:
-                            row[k * n + m] += a * tij[m]
-                for r in range(n):
-                    if t[r][j][k]:
-                        row[r * n + i] += b * t[r][j][k]
-                    if t[i][r][k]:
-                        row[r * n + j] += c * t[i][r][k]
-                rows.append(row)
-    return rows
-
-
-def _apply(rows, mat, field):
-    """rows applied to the row-major flattening of mat."""
-    vec = [x for r in mat for x in r]
-    return [sum((x * y for x, y in zip(row, vec) if x), field.zero) for row in rows]
 
 
 def delta_derivations(sc, delta):

@@ -7,7 +7,7 @@ is equivariant under basis change, a pair is strong D-special iff some
 derivation of its *own* product reproduces its bracket - an exactly
 solvable linear feasibility problem (the bracket is linear in D).  The
 derived bracket and that problem are both read off the coefficient rows
-``derivations._map_rows`` builds, so no identity is restated here.
+``algebra._map_rows`` builds, so no identity is restated here.
 
 The module also covers the Novikov-commutator computations used for the
 two 2-dimensional exceptional pairs.
@@ -21,10 +21,12 @@ from . import linalg
 from .algebra import (
     AlgebraPair,
     StructureConstants,
+    _apply,
+    _map_rows,
     is_commutative_associative,
 )
 from .catalog import instantiate
-from .derivations import _apply, _map_rows, delta_derivations, derivation_residual
+from .derivations import delta_derivations, derivation_residual
 
 
 class NotADerivation(ValueError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .algebra import pairs_equal, transport
+from .algebra import operator_matrix, pairs_equal, transport
 from .derivations import delta_derivations, pair_derivations
 from .linalg import DimensionMismatch, SingularMatrix
 
@@ -47,22 +47,20 @@ def _product_vectors(sc):
     return [list(sc.prod(i, j)) for i in range(sc.dim) for j in range(sc.dim)]
 
 
+def _right_mul_rows(sc):
+    """Rows of x -> (x e_j)_k, indexed by (j, k), in the unknowns x_i."""
+    return [row for j in range(sc.dim) for row in operator_matrix(sc, j)]
+
+
 def _annihilator_dim(sc):
-    # x with x * e_j = 0 for all j: rows indexed by (j, k), unknowns x_i
-    rows = []
-    for j in range(sc.dim):
-        for k in range(sc.dim):
-            rows.append([sc.c[i][j][k] for i in range(sc.dim)])
-    return len(linalg.nullspace(rows, sc.dim, sc.field))
+    # x with x * e_j = 0 for all j
+    return len(linalg.nullspace(_right_mul_rows(sc), sc.dim, sc.field))
 
 
 def _has_unit(sc):
-    rows, rhs = [], []
-    for j in range(sc.dim):
-        for k in range(sc.dim):
-            rows.append([sc.c[i][j][k] for i in range(sc.dim)])
-            rhs.append(sc.field.one if j == k else sc.field.zero)
-    return 1 if linalg.solve(rows, rhs, sc.field) is not None else 0
+    # x with x * e_j = e_j for all j
+    rhs = [v for row in linalg.identity(sc.dim, sc.field) for v in row]
+    return 1 if linalg.solve(_right_mul_rows(sc), rhs, sc.field) is not None else 0
 
 
 def span_dims(pair):

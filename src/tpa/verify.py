@@ -22,10 +22,12 @@ from fractions import Fraction
 
 from . import degeneration, linalg
 from .algebra import (
+    TRANSPOSED_POISSON_AXIOMS,
     AlgebraPair,
     StructureConstants,
     check_identity,
     is_transposed_poisson,
+    operator_matrix,
     transport,
 )
 from .catalog import (
@@ -91,8 +93,7 @@ def claim_axioms():
     failures = []
     leibniz_failures_needed = []
     for tid, params, pair in t_series_samples():
-        for which in ("commutative", "associative", "anticommutative", "jacobi",
-                      "transposed_leibniz"):
+        for which in TRANSPOSED_POISSON_AXIOMS:
             rep = check_identity(pair, which)
             if not rep.holds:
                 failures.append((tid, [str(p) for p in params], which))
@@ -481,10 +482,8 @@ def claim_properties(seed=None):
 
     rmul_ok = True
     for tid, params, pair in t_series_samples():
-        n = pair.dim
-        for z in range(n):
-            rz = [[pair.mul.c[c][z][r] for c in range(n)] for r in range(n)]
-            if derivation_residual(pair.bracket, rz, F(1, 2)):
+        for z in range(pair.dim):
+            if derivation_residual(pair.bracket, operator_matrix(pair.mul, z), F(1, 2)):
                 rmul_ok = False
     details["right_multiplications_are_half_derivations"] = rmul_ok
 

@@ -4,6 +4,7 @@ import pickle
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tpa.algebra import (
     AlgebraPair,
@@ -202,3 +203,69 @@ def test_limit_pair():
     pair = instantiate("T09", [QQ_T.parse("2"), QQ_T.parse("t")], field=QQ_T)
     lim = limit_pair(pair)
     assert pairs_equal(lim, instantiate("T09", [F(2), F(0)]))
+
+
+# ---------------------------------------------------------------------------
+# the row-derived checkers against a naive triple loop
+# ---------------------------------------------------------------------------
+
+def _naive_residual(pair, which, i, j, k):
+    """Residual at (e_i, e_j, e_k), written directly with ``evaluate``."""
+    mul, br = pair.mul.evaluate, pair.bracket.evaluate
+    e = identity(pair.dim, pair.field)
+    x, y, z = e[i], e[j], e[k]
+    if which == "associative":     # (x.y).z - x.(y.z)
+        terms = [(1, mul(mul(x, y), z)), (-1, mul(x, mul(y, z)))]
+    elif which == "transposed_leibniz":  # 2 z.[x,y] - [z.x, y] - [x, z.y]
+        terms = [(2, mul(z, br(x, y))), (-1, br(mul(z, x), y)), (-1, br(x, mul(z, y)))]
+    else:                          # [x.y, z] - x.[y,z] - [x,z].y
+        terms = [(1, br(mul(x, y), z)), (-1, mul(x, br(y, z))), (-1, mul(br(x, z), y))]
+    return tuple(sum((pair.field.coerce(c) * v[m] for c, v in terms), pair.field.zero)
+                 for m in range(pair.dim))
+
+
+def _naive_violations(pair, which):
+    n = pair.dim
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                r = _naive_residual(pair, which, i, j, k)
+                if any(r):
+                    out.append(((i + 1, j + 1, k + 1), r))
+    return tuple(out)
+
+
+ROW_DERIVED = ("associative", "transposed_leibniz", "leibniz")
+
+
+@st.composite
+def random_pairs(draw):
+    """Two independent tensors of dimension 1-3, neither symmetrised."""
+    n = draw(st.integers(1, 3))
+    value = st.sampled_from([F(0), F(0), F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2)])
+
+    def tensor():
+        return StructureConstants(n, QQ, tuple(
+            tuple(tuple(draw(value) for _ in range(n)) for _ in range(n)) for _ in range(n)))
+
+    return AlgebraPair(tensor(), tensor())
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_pairs())
+def test_row_derived_identities_match_naive_loop(pair):
+    for which in ROW_DERIVED:
+        assert check_identity(pair, which).violations == _naive_violations(pair, which)
+
+
+def test_row_derived_identities_match_naive_loop_over_qt():
+    # the degeneration sources over Q(t), before and after their basis change
+    from tpa.degeneration import load_rows
+
+    for inst in load_rows():
+        source = inst.source_pair()
+        for pair in (source, gl_action(source, inst.g_matrix())):
+            for which in ROW_DERIVED:
+                assert check_identity(pair, which).violations == \
+                    _naive_violations(pair, which), (inst.row, inst.name, which)

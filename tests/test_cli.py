@@ -79,6 +79,45 @@ def test_dspecial_comm(capsys):
     assert len(doc["derived_brackets"]) == 2
 
 
+def test_dspecial_comm_family_parameters(capsys):
+    # --comm takes the family parameters like --id does
+    from fractions import Fraction as F
+
+    from tpa.algebra import matrix_to_json
+    from tpa.catalog import instantiate
+    from tpa.dspecial import derivation_matching_bracket
+    from tpa.scalars import QQ
+
+    code, doc = run(capsys, "dspecial", "--comm", "DA02", "--alpha", "1", "--beta", "2",
+                    "--feasible")
+    assert code == 0
+    assert doc["derivations"]["dim"] == 2
+    pair = instantiate("DA02", (F(1), F(2)))
+    d = derivation_matching_bracket(pair.mul, pair.bracket)
+    assert doc["strong_d_special"] is True
+    assert doc["derivation"] == matrix_to_json(d, QQ)
+
+
+def test_der_four_parameter_family(capsys):
+    # --delta is the delta, so --epsilon is the fourth parameter slot of der
+    from fractions import Fraction as F
+
+    from tpa.algebra import matrix_to_json
+    from tpa.catalog import instantiate
+    from tpa.derivations import delta_derivations
+    from tpa.scalars import QQ
+
+    code, doc = run(capsys, "der", "--lie", "DA03", "--alpha", "1", "--beta", "1",
+                    "--gamma", "1", "--epsilon", "1")
+    assert code == 0
+    space = delta_derivations(instantiate("DA03", (1, 1, 1, 1)).bracket, F(1, 2))
+    assert doc["dim"] == space.dim
+    assert doc["basis"] == [matrix_to_json(b, QQ) for b in space.basis]
+    code, doc = run(capsys, "der", "--id", "D08", "--epsilon", "1")
+    assert code == 0
+    assert doc["dim"] == delta_derivations(instantiate("D08", (1,)).bracket, F(1, 2)).dim
+
+
 def test_dspecial_feasible(capsys):
     code, doc = run(capsys, "dspecial", "--id", "T02", "--feasible")
     assert code == 0
@@ -158,9 +197,11 @@ NOT_LIE = '{"dim": 2, "bracket": [[1, 1, 1, "1"]]}'
     (["enumerate"], {"input": NOT_LIE}),
     (["der", "--lie", "g2", "--alpha", "1", "--delta", "1e2000000"], {}),
     (["check", "--id", "g2", "--alpha", "1e400"], {}),
+    (["dspecial", "--comm", "A04", "--alpha", "7"], {}),
 ], ids=["zero-denominator", "top-level-list", "three-field-entry", "mul-not-a-list",
         "negative-dim", "witness-shape", "t-exponent-too-large", "unknown-row",
-        "biderive-not-lie", "enumerate-not-lie", "delta-exponent", "alpha-exponent"])
+        "biderive-not-lie", "enumerate-not-lie", "delta-exponent", "alpha-exponent",
+        "comm-extra-parameter"])
 def test_malformed_input_exit_2(tmp_path, capsys, command, files):
     argv = list(command)
     for flag, text in files.items():

@@ -11,8 +11,6 @@ from tpa.degeneration import (
     load_rows,
     necessary_checks,
     orbit_dim,
-    reachable_targets,
-    row_numbers,
     verify_all,
     verify_instance,
     verify_row,
@@ -47,7 +45,7 @@ def test_all_rows_verify():
 
 
 def test_row_numbers():
-    assert row_numbers() == list(range(1, 18))
+    assert sorted({inst.row for inst in load_rows()}) == list(range(1, 18))
     with pytest.raises(ValueError):
         verify_row(42)
 
@@ -191,6 +189,23 @@ def test_row_without_samples_rejected():
     inst = Unsampled(**{f: getattr(row1, f) for f in row1.__dataclass_fields__})
     with pytest.raises(ValueError):
         verify_instance(inst)
+
+
+def reachable_targets(reports):
+    """id-level transitive closure of the verified table rows."""
+    closure = {}
+    for rep in reports:
+        if rep.verified:
+            closure.setdefault(rep.source[0], set()).add(rep.target[0])
+    changed = True
+    while changed:
+        changed = False
+        for tgts in closure.values():
+            new = set().union(*(closure.get(t, set()) for t in tgts))
+            if not new <= tgts:
+                tgts |= new
+                changed = True
+    return closure
 
 
 def test_reachable_targets_closure():

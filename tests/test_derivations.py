@@ -81,7 +81,7 @@ def test_sl2_half_derivations_scalars_only():
 def test_heisenberg_half_derivations_regression():
     # no tabulated value exists; frozen from the solver and cross-checked
     # against the rank oracle
-    from tpa.derivations import _map_rows
+    from tpa.algebra import _map_rows
 
     br = lie("h")
     rows = _map_rows(br, 1, -F(1, 2), -F(1, 2))
