@@ -59,7 +59,9 @@ class StructureConstants:
                     raise ValueError(f"unknown symmetrize mode {symmetrize!r}")
             elif symmetrize == "antisym" and i == j and v:
                 raise ValueError("antisymmetric table lists a square product")
-        return StructureConstants(dim, field, tuple(tuple(tuple(r) for r in p) for p in c))
+        # a cell listed twice can sum to an integral Fraction; coerce stores it as int
+        return StructureConstants(
+            dim, field, tuple(tuple(tuple(map(field.coerce, r)) for r in p) for p in c))
 
     def prod(self, i, j):
         """Product of basis vectors e_i * e_j as a coordinate vector (0-based)."""
@@ -186,7 +188,8 @@ def _transport_sc(sc, g_cols, g_inv):
         ei = [g_cols[r][i] for r in range(n)]
         for j in range(n):
             ej = [g_cols[r][j] for r in range(n)]
-            plane.append(tuple(linalg.mat_vec(g_inv, sc.evaluate(ei, ej))))
+            image = linalg.mat_vec(g_inv, sc.evaluate(ei, ej))
+            plane.append(tuple(map(sc.field.coerce, image)))
         new.append(tuple(plane))
     return StructureConstants(n, sc.field, tuple(new))
 

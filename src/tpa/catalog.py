@@ -412,12 +412,12 @@ def _t03_sign(b):
 
 def _t09_inversion(a, b):
     # verifies as transport(T09^{1/a, b/a}, M) == T09^{a, b}
-    m = [(F(1) / (a - 1), 0, 0), (1, a / (a - 1), 0), (0, 0, a)]
-    return _w("T09 parameter inversion", ("T09", (F(1) / a, b / a)), ("T09", (a, b)), m)
+    m = [(F(1) / (a - 1), 0, 0), (1, QQ.div(a, a - 1), 0), (0, 0, a)]
+    return _w("T09 parameter inversion", ("T09", (F(1) / a, QQ.div(b, a))), ("T09", (a, b)), m)
 
 
 def _g2_inversion(a):
-    m = [(F(1) / (a - 1), 0, 0), (1, a / (a - 1), 0), (0, 0, a)]
+    m = [(F(1) / (a - 1), 0, 0), (1, QQ.div(a, a - 1), 0), (0, 0, a)]
     return _w("g2 parameter inversion", ("g2", (F(1) / a,)), ("g2", (a,)), m)
 
 
@@ -427,7 +427,7 @@ def _t11_inversion(b):
 
 
 def _t10s_to_t10(b):
-    m = [(F(1) / b, 0, 0), ((1 - b) / b ** 2, F(1) / b ** 2, 0), (0, 0, F(1) / b)]
+    m = [(F(1) / b, 0, 0), (QQ.div(1 - b, b ** 2), F(1) / b ** 2, 0), (0, 0, F(1) / b)]
     return _w("T10* normal form", ("T10s", (b,)), ("T10", (F(1) / b,)), m)
 
 
@@ -444,7 +444,7 @@ def _da02_zero_to_t05(b):
 
 
 def _da02_to_t12(a, b):
-    m = [(0, 1, 1 - b / a), (0, 0, 1), (-F(1) / a, 0, 0)]
+    m = [(0, 1, 1 - QQ.div(b, a)), (0, 0, 1), (-F(1) / a, 0, 0)]
     return _w("A02-family ~ T12", ("DA02", (a, b)), ("T12", (-F(1) / a,)), m)
 
 
@@ -461,7 +461,7 @@ def _d05_to_t07(a):
 def _d06_to_t09(a, b):
     # a != b, both nonzero
     m = [(0, 0, a), (0, b, b - a), (-F(1) / a, 0, 0)]
-    return _w("D06 ~ T09", ("D06", (a, b)), ("T09", (b / a, -F(1) / a)), m)
+    return _w("D06 ~ T09", ("D06", (a, b)), ("T09", (QQ.div(b, a), -F(1) / a)), m)
 
 
 def _d06b_to_t19(a):

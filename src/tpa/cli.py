@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import degeneration, verify as verify_mod
 from .algebra import (
@@ -24,7 +23,9 @@ from .algebra import (
     pair_to_json,
     sc_to_entries,
 )
-from .catalog import CATALOG, InadmissibleParameter, UnknownId, instantiate, sample_params
+from .catalog import (
+    CATALOG, InadmissibleParameter, UnknownId, entry, instantiate, sample_params,
+)
 from .derivations import NotALieAlgebra, delta_derivations, half_biderivations
 from .dspecial import derivation_matching_bracket, derived_bracket
 from .enumeration import member_pair, tp_family
@@ -43,13 +44,29 @@ def _emit(doc, pretty=False):
         print(json.dumps(doc, sort_keys=False))
 
 
-def _parse_params(args):
-    out = []
-    for name in getattr(args, "_param_names", ()):
-        v = getattr(args, name, None)
-        if v is not None:
-            out.append(_rational(name, v))
-    return out
+def _instantiate(args, family_id):
+    """The catalog family at the parameters given by its own options.
+
+    Each parameter binds to the option of its name (``args._param_option``
+    names the exceptions); an option the family does not take, or a
+    missing one, is a usage error."""
+    try:
+        names = entry(family_id).param_names
+        options = [args._param_option.get(name, name) for name in names]
+        _reject_params(args, family_id, allowed=options)
+        missing = [f"--{o}" for o in options if getattr(args, o) is None]
+        if missing:
+            raise CliError(f"{family_id} needs {', '.join(missing)}")
+        return instantiate(family_id, [_rational(o, getattr(args, o)) for o in options])
+    except (UnknownId, InadmissibleParameter) as exc:
+        raise CliError(str(exc)) from exc
+
+
+def _reject_params(args, owner, allowed=()):
+    """CliError naming the first parameter option given outside ``allowed``."""
+    for name in args._param_names:
+        if name not in allowed and getattr(args, name) is not None:
+            raise CliError(f"{owner} takes no parameter --{name}")
 
 
 def _rational(name, text):
@@ -71,14 +88,12 @@ def _load_pair(path):
 
 def _resolve_input(args):
     if getattr(args, "input", None):
+        _reject_params(args, "--input")
         return _load_pair(args.input)
     lie = getattr(args, "lie", None) or getattr(args, "id", None)
     if lie is None:
         raise CliError("give --id/--lie or --input")
-    try:
-        return instantiate(lie, _parse_params(args))
-    except (UnknownId, InadmissibleParameter) as exc:
-        raise CliError(str(exc)) from exc
+    return _instantiate(args, lie)
 
 
 def _space_doc(space):
@@ -112,7 +127,7 @@ def cmd_der(args):
     pair = _resolve_input(args)
     delta = _rational("delta", args.delta)
     space = delta_derivations(pair.bracket if not args.mul else pair.mul, delta)
-    _emit({"delta": str(delta), **_space_doc(space)}, args.pretty)
+    _emit({"delta": QQ.format(delta), **_space_doc(space)}, args.pretty)
     return 0
 
 
@@ -146,9 +161,9 @@ def cmd_enumerate(args):
 
 
 def _sample_coords(dim):
-    vals = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2)]
+    vals = [0, 1, -1, 2]
     out = [[vals[(i + j) % len(vals)] for j in range(dim)] for i in range(4)]
-    out.append([Fraction(1)] * dim)
+    out.append([1] * dim)
     return out
 
 
@@ -178,10 +193,7 @@ def cmd_fingerprint(args):
 
 
 def cmd_dspecial(args):
-    try:
-        pair = instantiate(args.comm, _parse_params(args)) if args.comm else _resolve_input(args)
-    except (UnknownId, InadmissibleParameter) as exc:
-        raise CliError(str(exc)) from exc
+    pair = _instantiate(args, args.comm) if args.comm else _resolve_input(args)
     comm = pair.mul
     doc = {}
     if args.all_derivations or args.comm:
@@ -253,14 +265,17 @@ def cmd_verify_paper(args):
 # ---------------------------------------------------------------------------
 
 def _add_algebra_source(p, with_id=True,
-                        params=("alpha", "beta", "gamma", "delta", "epsilon")):
+                        params=("alpha", "beta", "gamma", "delta", "epsilon"), rename=None):
+    """The --id/--lie/--input options and one option per family parameter
+    name; ``rename`` maps a parameter to another option where the command
+    uses its name for something else."""
     if with_id:
         p.add_argument("--id", help="catalog id (e.g. T05, g2, A04)")
     p.add_argument("--lie", help="catalog id of a Lie algebra (e.g. g2)")
     p.add_argument("--input", help="path to an algebra JSON file ('-' for stdin)")
     for name in params:
         p.add_argument(f"--{name}", help=f"family parameter {name} (rational)")
-    p.set_defaults(_param_names=params)
+    p.set_defaults(_param_names=params, _param_option=rename or {})
 
 
 def build_parser():
@@ -276,7 +291,9 @@ def build_parser():
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("der", help="delta-derivations of a bracket (or product)")
-    _add_algebra_source(p, params=("alpha", "beta", "gamma", "epsilon"))
+    # --delta is the delta, so a family parameter named delta is --epsilon
+    _add_algebra_source(p, params=("alpha", "beta", "gamma", "epsilon"),
+                        rename={"delta": "epsilon"})
     p.add_argument("--delta", default="1/2", help="the delta, e.g. 1/2 or 1")
     p.add_argument("--mul", action="store_true",
                    help="solve on the product instead of the bracket")

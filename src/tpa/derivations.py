@@ -97,7 +97,10 @@ def delta_derivations(sc, delta):
     """All phi with phi(x*y) = delta (phi(x)*y + x*phi(y)); delta = 1 gives
     ordinary derivations, delta = 1/2 the half-derivations."""
     n = sc.dim
-    rows = [r for r in _map_rows(sc, 1, -delta, -delta) if any(r)]
+    # the rows times the denominator q of delta: the same nullspace, and
+    # integer rows for an integer tensor
+    q = Fraction(delta).denominator
+    rows = [r for r in _map_rows(sc, q, -q * delta, -q * delta) if any(r)]
     vectors = linalg.nullspace(rows, n * n, sc.field)
     return SolutionSpace(n, "matrix", _matrix_basis(vectors, n), sc.field)
 
@@ -160,10 +163,10 @@ def half_biderivations(bracket, symmetric=True):
     # D(., e_z) and D(e_z, .) are 1/2-derivations of the bracket: unknown
     # P[r][c] of the first is D(e_c, e_z)_r, of the second D(e_z, e_c)_r.
     # For a Lie bracket row (j, i, k) is minus row (i, j, k) and row
-    # (i, i, k) vanishes, so rows with i < j suffice.
-    half = Fraction(1, 2)
+    # (i, i, k) vanishes, so rows with i < j suffice.  They are taken twice,
+    # as (2, -1, -1), which keeps the nullspace and integer rows integral.
     labels = product(range(n), repeat=3)
-    lie_rows = [row for (i, j, _), row in zip(labels, _map_rows(bracket, 1, -half, -half))
+    lie_rows = [row for (i, j, _), row in zip(labels, _map_rows(bracket, 2, -1, -1))
                 if i < j and any(row)]
     slots = [lambda c, z, r: (c, z, r)]
     if not symmetric:  # for symmetric D the second slot names the same unknowns

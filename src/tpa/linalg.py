@@ -5,15 +5,18 @@ field (see scalars.QQ / scalars.QQ_T).  Elimination uses first-nonzero
 pivoting and normalises pivots to 1, so ranks, solutions and nullspace
 bases are reproducible across runs.
 
-``rref`` over Q clears denominators and eliminates with integer row
-operations, dividing by pivots only at the end; over Q(t) it runs the
-generic field loop.  Both give the one reduced row echelon form, so
-every function built on ``rref`` returns the same result either way.
+Every division goes through the field's ``div``: over Q that is
+``QQ.div``, exact and returning an ``int`` for an integral quotient, so
+no float can arise (``int / int`` is one).  ``rref`` over Q clears
+denominators and eliminates with integer row operations, dividing by
+pivots only at the end; over Q(t) it runs the generic field loop.  Both
+give the one reduced row echelon form, with integral entries as ``int``
+over Q, so every function built on ``rref`` returns the same result
+either way.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .scalars import QQ
@@ -94,9 +97,9 @@ def _rref_integer(rows):
         r += 1
         if r == len(m):
             break
-    zero = QQ.zero
-    red = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(m, pivots)]
-    red += [[zero] * ncols for _ in range(len(m) - r)]
+    div = QQ.div
+    red = [[div(x, row[c]) if x else 0 for x in row] for row, c in zip(m, pivots)]
+    red += [[0] * ncols for _ in range(len(m) - r)]
     return red, pivots
 
 
@@ -121,7 +124,7 @@ def _rref_generic(rows, field):
         m[r], m[pivot] = m[pivot], m[r]
         pv = m[r][c]
         if pv != field.one:
-            m[r] = [x / pv for x in m[r]]
+            m[r] = [field.div(x, pv) for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c]:
                 f = m[i][c]
@@ -130,7 +133,8 @@ def _rref_generic(rows, field):
         r += 1
         if r == len(m):
             break
-    return m, pivots
+    # row operations can leave an integral Fraction over Q; coerce stores it as int
+    return [[field.coerce(x) for x in row] for row in m], pivots
 
 
 def rank(rows, field):
@@ -157,7 +161,7 @@ def nullspace(rows, ncols, field):
             v[pc] = -red[r][free]
         first = next(x for x in v if x)
         if first != field.one:
-            v = [x / first for x in v]
+            v = [field.div(x, first) for x in v]
         basis.append(v)
     return basis
 
@@ -205,9 +209,9 @@ def det(a, field):
         pv = m[c][c]
         for i in range(c + 1, n):
             if m[i][c]:
-                f = m[i][c] / pv
+                f = field.div(m[i][c], pv)
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return out
+    return field.coerce(out)
 
 
 def span_dim(vectors, field):

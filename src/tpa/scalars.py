@@ -1,9 +1,15 @@
 """Exact scalar arithmetic: the rationals Q and rational functions Q(t).
 
-Both domains sit behind the same operator surface (+, -, *, /, unary -,
-==, bool) so the linear algebra and tensor code is generic over them.
-Rationals are plain ``fractions.Fraction``; rational functions are pairs
-of dense coefficient lists over Fraction, kept fully reduced with a monic
+Both domains sit behind the same operator surface (+, -, *, unary -, ==,
+bool, and the field's ``div``) so the linear algebra and tensor code is
+generic over them.  A rational is an ``int`` when it is integral, which
+skips the gcd and the object ``Fraction`` costs, and a
+``fractions.Fraction`` otherwise.  ``QQ.coerce``, ``parse_rational`` and
+``QQ.div`` return that form; ``QQ.div`` is the one division over Q, since
+``int / int`` is a float.  ``Fraction`` arithmetic can still yield an
+integral ``Fraction``, which the next coerce stores as ``int``; both
+forms share ``==`` and ``hash``.  Rational functions are pairs of dense
+coefficient lists over Fraction, kept fully reduced with a monic
 denominator.  Everything is immutable.
 
 Sums and products of Laurent operands (reduced denominator t^k), and a
@@ -15,6 +21,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import truediv
 
 
 class Diverges(ArithmeticError):
@@ -253,7 +260,7 @@ class RatFunc:
         """
         if self.den[0] == 0:
             raise Diverges(f"pole at t = 0 in {format_ratfunc(self)}")
-        return self.num[0] / self.den[0]
+        return _normal(self.num[0] / self.den[0])
 
     def is_constant(self):
         return len(self.num) == 1 and self.den == (Fraction(1),)
@@ -303,10 +310,15 @@ T = RatFunc((0, 1))
 
 
 def limit_at_zero(r):
-    """Limit at t -> 0 for a RatFunc (Fractions pass through unchanged)."""
+    """Limit at t -> 0 for a RatFunc; rationals pass through as Q values."""
     if isinstance(r, RatFunc):
         return r.limit_at_zero()
-    return Fraction(r)
+    return QQ.coerce(r)
+
+
+def _normal(x):
+    """The rational x as a Q value: its numerator when it is integral."""
+    return x.numerator if x.denominator == 1 else x
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +342,7 @@ def parse_rational(s):
     s = s.strip()
     if not _RAT_RE.match(s):
         raise ScalarParseError(f"not a rational: {s!r}")
-    return Fraction(s)
+    return _normal(Fraction(s))
 
 
 def _parse_terms(s):
@@ -420,7 +432,11 @@ def parse_ratfunc(s):
 
 
 def format_rational(v):
-    return str(Fraction(v))
+    """The text of a Q value; anything but an int or a Fraction (a float
+    above all) raises TypeError instead of printing its binary expansion."""
+    if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
+        raise TypeError(f"not a rational: {v!r}")
+    return str(v)
 
 
 def _poly_str(cs):
@@ -453,16 +469,27 @@ def format_ratfunc(r):
 
 class _RationalField:
     name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     @staticmethod
     def coerce(v):
+        if type(v) is int:
+            return v
         if isinstance(v, RatFunc):
             if not v.is_constant():
                 raise TypeError("cannot coerce a non-constant function into Q")
-            return v.num[0]
-        return Fraction(v)
+            v = v.num[0]
+        elif isinstance(v, float):
+            raise TypeError(f"a float is not an exact rational: {v!r}")
+        return _normal(Fraction(v))
+
+    @staticmethod
+    def div(a, b):
+        """The exact quotient a/b as a Q value (``int / int`` is a float)."""
+        if isinstance(a, int) and isinstance(b, int):
+            return a // b if not a % b else Fraction(a, b)
+        return _normal(a / b)
 
     parse = staticmethod(parse_rational)
     format = staticmethod(format_rational)
@@ -484,6 +511,7 @@ class _RatFuncField:
             return v
         return RatFunc(Fraction(v))
 
+    div = staticmethod(truediv)
     parse = staticmethod(parse_ratfunc)
     format = staticmethod(format_ratfunc)
 

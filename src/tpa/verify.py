@@ -228,7 +228,7 @@ def claim_enumeration(seed=None):
         b12, b31, b33 = (_rand_fraction(rng) for _ in range(3))
         if b33 == 0:
             continue
-        b32 = b31 * b12 / b33
+        b32 = QQ.div(b31 * b12, b33)
         sat.append((b12, b32, b31, _rand_fraction(rng), b33))
     sat.append((F(1), F(0), F(0), F(2), F(0)))  # the b33 = 0 branch
     while len(viol) < 10:
@@ -242,7 +242,7 @@ def claim_enumeration(seed=None):
         b22_2, b22_3, b31, b33 = (_rand_fraction(rng) for _ in range(4))
         if b22_2 == 0:
             continue
-        b32 = b31 + (b22_3 * b22_3 - b33 * b22_3) / b22_2
+        b32 = b31 + QQ.div(b22_3 * b22_3 - b33 * b22_3, b22_2)
         sat.append((b22_2, b22_3, b31, b32, b33))
     sat.append((F(0), F(0), F(1), F(2), F(3)))  # b22 = 0 branch
     while len(viol) < 10:

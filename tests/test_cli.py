@@ -26,6 +26,26 @@ def test_check_t07_pretty(capsys):
     assert doc["identities"]["leibniz"] is False
 
 
+def test_t07_beta_binds_beta(capsys):
+    # --beta is T07's own parameter, so binding options by name keeps it
+    from fractions import Fraction as F
+
+    from tpa.algebra import matrix_to_json
+    from tpa.catalog import instantiate
+    from tpa.derivations import delta_derivations
+    from tpa.scalars import QQ
+
+    assert main(["check", "--id", "T07", "--beta", "2"]) == 0
+    assert capsys.readouterr().out == (
+        '{"id": "T07", "identities": {"commutative": true, "associative": true, '
+        '"anticommutative": true, "jacobi": true, "transposed_leibniz": true, '
+        '"leibniz": false}, "transposed_poisson": true, "poisson": false}\n')
+    code, doc = run(capsys, "der", "--id", "T07", "--beta", "2")
+    assert code == 0
+    space = delta_derivations(instantiate("T07", (2,)).bracket, F(1, 2))
+    assert doc["basis"] == [matrix_to_json(b, QQ) for b in space.basis]
+
+
 def test_der_g2_half(capsys):
     code, doc = run(capsys, "der", "--lie", "g2", "--alpha", "1/2", "--delta", "1/2")
     assert code == 0
@@ -58,8 +78,15 @@ def test_fingerprint(capsys):
     assert doc["fingerprint"][0] == 3 and doc["fingerprint"][-1] == 1
 
 
+#: sha256 of the whole ``degenerate --all`` stdout
+DEGENERATE_ALL_SHA256 = "0c614a0e658371b1cf019d238faf7563dc10a8db100f2623aec647e398117feb"
+
+
 def test_degenerate_all(capsys):
-    code, doc = run(capsys, "degenerate", "--all")
+    code = main(["degenerate", "--all"])
+    raw = capsys.readouterr().out.encode()
+    assert hashlib.sha256(raw).hexdigest() == DEGENERATE_ALL_SHA256
+    doc = json.loads(raw)
     assert code == 0
     assert doc["all_verified"] is True
     assert len(doc["rows"]) == 30
@@ -198,10 +225,15 @@ NOT_LIE = '{"dim": 2, "bracket": [[1, 1, 1, "1"]]}'
     (["der", "--lie", "g2", "--alpha", "1", "--delta", "1e2000000"], {}),
     (["check", "--id", "g2", "--alpha", "1e400"], {}),
     (["dspecial", "--comm", "A04", "--alpha", "7"], {}),
+    (["check", "--id", "T07", "--gamma", "2"], {}),
+    (["check", "--id", "D08", "--alpha", "1"], {}),
+    (["check", "--id", "T09", "--alpha", "2"], {}),
+    (["check", "--alpha", "1"], {"input": '{"dim": 1}'}),
 ], ids=["zero-denominator", "top-level-list", "three-field-entry", "mul-not-a-list",
         "negative-dim", "witness-shape", "t-exponent-too-large", "unknown-row",
         "biderive-not-lie", "enumerate-not-lie", "delta-exponent", "alpha-exponent",
-        "comm-extra-parameter"])
+        "comm-extra-parameter", "t07-gamma-not-a-parameter", "d08-alpha-not-a-parameter",
+        "missing-parameter", "input-with-parameter"])
 def test_malformed_input_exit_2(tmp_path, capsys, command, files):
     argv = list(command)
     for flag, text in files.items():

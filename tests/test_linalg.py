@@ -102,7 +102,13 @@ def rational_matrices(draw, shape=None):
 @settings(max_examples=150, deadline=None)
 @given(rational_matrices())
 def test_integer_rref_matches_generic_loop(m):
-    assert linalg.rref(m, QQ) == linalg._rref_generic(m, QQ)
+    # over Q the generic loop divides through QQ.div and stores integral
+    # results as int, so it returns the integer kernel's matrix entry for
+    # entry, type included
+    generic = linalg._rref_generic(m, QQ)
+    assert linalg.rref(m, QQ) == generic
+    assert [[type(x) for x in row] for row in linalg._rref_integer(m)[0]] == \
+        [[type(x) for x in row] for row in generic[0]]
 
 
 def _sympy_matrix(sympy, m):

@@ -19,8 +19,10 @@ from tpa.scalars import (
     _pneg,
     _trim,
     format_ratfunc,
+    format_rational,
     limit_at_zero,
     parse_ratfunc,
+    parse_rational,
 )
 
 
@@ -123,6 +125,31 @@ def test_format_roundtrip():
              (T * T - 1) / (T + 2), RatFunc(0), -T + 3]
     for r in cases:
         assert parse_ratfunc(format_ratfunc(r)) == r
+
+
+def test_format_rational_refuses_floats():
+    # str(Fraction(0.1)) would print 3602879701896397/36028797018963968
+    for bad in (0.1, 2.0, True, "1/2", RatFunc(1)):
+        with pytest.raises(TypeError):
+            format_rational(bad)
+    assert format_rational(3) == "3"
+    assert format_rational(F(-6, 4)) == "-3/2"
+    assert QQ.format is format_rational
+
+
+def test_integral_rationals_are_ints():
+    assert (QQ.zero, QQ.one) == (0, 1) and type(QQ.zero) is type(QQ.one) is int
+    for v in (QQ.coerce(F(4, 2)), QQ.coerce(RatFunc(F(3))), parse_rational("-8/4"),
+              limit_at_zero(F(5)), limit_at_zero((T + 2) / (T + 1)), QQ.div(6, -3),
+              QQ.div(F(3, 2), F(1, 2)), QQ.div(4, F(2))):
+        assert type(v) is int
+    assert QQ.div(6, 4) == F(3, 2) and type(QQ.div(6, 4)) is F
+    assert type(QQ.coerce(F(1, 3))) is F
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, 0)
+    with pytest.raises(TypeError):
+        QQ.coerce(0.5)
+    assert QQ_T.div(T, 2) == T / 2
 
 
 def test_field_descriptors():
