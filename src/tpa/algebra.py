@@ -9,11 +9,14 @@ assumed about either component, the checkers establish identities.
 All identity checks run over basis instantiations, which is sound and
 complete by multilinearity.  ``_map_rows`` states the derivation-type
 identity a phi(x*y) + b phi(x)*y + c x*phi(y) once, as coefficient rows in
-the entries of phi; associativity, the transposed rule and the Leibniz
-rule are those rows applied to multiplication operators (see
-``_IDENTITY_CHECKS``), and the solvers in ``derivations`` and
-``dspecial`` take their nullspaces.  Jacobi keeps its cyclic i < j < k
-form: it is a derivation statement only for anticommutative brackets.
+the entries of phi, filled from the tensor's nonzero entries.  This module
+alone knows the row-major layout of maps, tensors and rows: the other
+modules go through ``flatten``, ``unflatten`` and ``residual_cells``.
+Associativity, the transposed rule and the Leibniz rule are those rows
+applied to multiplication operators (see ``_IDENTITY_CHECKS``), and the
+solvers in ``derivations`` and ``dspecial`` take their nullspaces.
+Jacobi keeps its cyclic i < j < k form: it is a derivation statement
+only for anticommutative brackets.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .linalg import DimensionMismatch, SingularMatrix
+from .linalg import DimensionMismatch
 from .scalars import QQ, QQ_T, limit_at_zero
 
 
@@ -128,6 +131,31 @@ class AlgebraPair:
 # derivation-type rows
 # ---------------------------------------------------------------------------
 
+def flatten(x):
+    """Row-major flattening of a matrix P[r][c] or a tensor t[i][j][k]: the
+    order of the unknowns and of the rows of ``_map_rows``."""
+    if isinstance(x[0][0], (list, tuple)):
+        return [v for plane in x for row in plane for v in row]
+    return [v for row in x for v in row]
+
+
+def unflatten(vec, n, depth=2):
+    """Inverse of ``flatten``: the n x n matrix (depth 2) or the n x n x n
+    tensor (depth 3) of ``vec``, as nested tuples."""
+    out = tuple(vec)
+    for _ in range(depth - 1):
+        out = tuple(out[p:p + n] for p in range(0, len(out), n))
+    return out
+
+
+def residual_cells(values, n):
+    """The nonzero cells of ``values``, the n^3 rows of ``_map_rows``
+    applied to a map: ((i, j), residual coordinate vector) for the
+    instantiation at (e_i, e_j), 1-based, in row-major order."""
+    return [((i + 1, j + 1), cell) for i, plane in enumerate(unflatten(values, n, 3))
+            for j, cell in enumerate(plane) if any(cell)]
+
+
 def operator_matrix(sc, z, left=False):
     """Matrix of x -> x e_z (of x -> e_z x when ``left``); column c is the
     image of e_c, the layout ``_map_rows`` expects."""
@@ -140,38 +168,36 @@ def operator_matrix(sc, z, left=False):
 def _map_rows(sc, a, b, c):
     """The one statement of the derivation-type identities.
 
-    Row (i*n + j)*n + k holds the coefficients of the k-th coordinate of
+    Row (i, j, k) of the n^3 rows (``flatten`` order) holds the
+    coefficients of the k-th coordinate of
         a phi(e_i e_j) + b phi(e_i) e_j + c e_i phi(e_j)
-    in the unknowns P[r][m] of phi, flattened row-major.  The delta-
+    in the unknowns P[r][m] of phi, flattened the same way.  The delta-
     derivation condition is (1, -delta, -delta); the derived bracket
     D(x).y - x.D(y) is (0, 1, -1).  All n^3 rows are returned, zero rows
-    included."""
+    included.  Each nonzero entry e_p e_q = v e_s of the tensor enters
+    three families of cells: a v at row (p, q, k), unknown P[k][s];
+    b v at row (i, q, s), unknown P[p][i]; c v at row (p, j, s), unknown
+    P[q][j]."""
     n = sc.dim
     field = sc.field
     a, b, c = (field.coerce(x) for x in (a, b, c))
-    t = sc.c
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            tij = t[i][j]
-            for k in range(n):
-                row = [field.zero] * (n * n)
-                if a:
-                    for m in range(n):
-                        if tij[m]:
-                            row[k * n + m] += a * tij[m]
-                for r in range(n):
-                    if t[r][j][k]:
-                        row[r * n + i] += b * t[r][j][k]
-                    if t[i][r][k]:
-                        row[r * n + j] += c * t[i][r][k]
-                rows.append(row)
+    rows = [[field.zero] * (n * n) for _ in range(n ** 3)]
+    for p, q, s, v in sc.entries():
+        # coerce stores an integral product as an int
+        av, bv, cv = (field.coerce(x * v) for x in (a, b, c))
+        for m in range(n):
+            if av:
+                rows[(p * n + q) * n + m][m * n + s] += av
+            if bv:
+                rows[(m * n + q) * n + s][p * n + m] += bv
+            if cv:
+                rows[(p * n + m) * n + s][q * n + m] += cv
     return rows
 
 
 def _apply(rows, mat, field):
-    """rows applied to the row-major flattening of mat."""
-    vec = [x for r in mat for x in r]
+    """rows applied to the flattening of mat."""
+    vec = flatten(mat)
     return [sum((x * y for x, y in zip(row, vec) if x and y), field.zero) for row in rows]
 
 
@@ -296,16 +322,10 @@ def _jacobi(pair):
 def _operator_identity(rows_sc, coeffs, op_sc, left=False):
     """Violations of the (a, b, c) rows of ``rows_sc`` at the operators
     x -> x e_z of ``op_sc`` (e_z x when ``left``), labelled (i, j, z)."""
-    n = rows_sc.dim
     rows = _map_rows(rows_sc, *coeffs)
-    values = [_apply(rows, operator_matrix(op_sc, z, left), rows_sc.field) for z in range(n)]
-    out = []
-    for p in range(n * n):
-        for z in range(n):
-            r = values[z][p * n:(p + 1) * n]
-            if _nonzero(r):
-                out.append(((p // n + 1, p % n + 1, z + 1), tuple(r)))
-    return out
+    cells = [(ij + (z + 1,), r) for z in range(rows_sc.dim) for ij, r in residual_cells(
+        _apply(rows, operator_matrix(op_sc, z, left), rows_sc.field), rows_sc.dim)]
+    return sorted(cells, key=lambda cell: cell[0])
 
 
 _IDENTITY_CHECKS = {

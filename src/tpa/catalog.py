@@ -42,9 +42,7 @@ class CatalogEntry:
     table: object  # params -> {"mul": [...], "bracket": [...]} (1-based rows)
     admissible: object
     samples: tuple  # deterministic pool, special values first
-    lie_base: str = None
     alt_name: str = None
-    t_series: bool = False
 
 
 def _always(_params):
@@ -52,9 +50,9 @@ def _always(_params):
 
 
 def _entry(id, kind, dim, table, params=(), domain="", admissible=_always,
-           samples=((),), lie_base=None, alt_name=None, t_series=False):
+           samples=((),), alt_name=None):
     return CatalogEntry(id, kind, dim, tuple(params), domain, table, admissible,
-                        tuple(samples), lie_base, alt_name, t_series)
+                        tuple(samples), alt_name)
 
 
 # -- Lie algebras ------------------------------------------------------------
@@ -228,43 +226,35 @@ def _init_catalog():
     _register(_entry("sl2", "lie", 3, lambda: _sl2()))
 
     t = _t_tables()
-    plain = {"T01": "sl2", "T02": "h", "T05": "h", "T06": "h", "T08": "g1",
-             "T13": "g2", "T14": "g2", "T15": "g2", "T16": "g2", "T18": "g2"}
-    for tid, base in plain.items():
-        _register(_entry(tid, "tp", 3, t[tid], lie_base=base, t_series=True))
+    for tid in ("T01", "T02", "T05", "T06", "T08", "T13", "T14", "T15", "T16", "T18"):
+        _register(_entry(tid, "tp", 3, t[tid]))
     beta_pool = [(F(0),), (F(1),), (F(2),), (F(-1),), (F(4),), (F(-3),)]
-    _register(_entry("T03", "tp", 3, t["T03"], params=("beta",), lie_base="h",
-                     samples=beta_pool, t_series=True))
-    _register(_entry("T04", "tp", 3, t["T04"], params=("beta",), lie_base="h",
-                     samples=[(F(0),), (F(1),), (F(4),), (F(-1),), (F(1, 4),)],
-                     t_series=True))
-    _register(_entry("T07", "tp", 3, t["T07"], params=("beta",), lie_base="g1",
-                     samples=[(F(0),), (F(1),), (F(2),), (F(-1),)], t_series=True))
-    _register(_entry("T09", "tp", 3, t["T09"], params=("alpha", "beta"), lie_base="g2",
+    _register(_entry("T03", "tp", 3, t["T03"], params=("beta",), samples=beta_pool))
+    _register(_entry("T04", "tp", 3, t["T04"], params=("beta",),
+                     samples=[(F(0),), (F(1),), (F(4),), (F(-1),), (F(1, 4),)]))
+    _register(_entry("T07", "tp", 3, t["T07"], params=("beta",),
+                     samples=[(F(0),), (F(1),), (F(2),), (F(-1),)]))
+    _register(_entry("T09", "tp", 3, t["T09"], params=("alpha", "beta"),
                      samples=[(F(2), F(1)), (F(1, 2), F(1, 2)), (F(0), F(1)),
                               (F(1), F(2)), (F(-1), F(1)), (F(3), F(1)),
-                              (F(2), F(0)), (F(0), F(0)), (F(3), F(-2)), (F(5), F(2))],
-                     t_series=True))
+                              (F(2), F(0)), (F(0), F(0)), (F(3), F(-2)), (F(5), F(2))]))
     g2_alpha_pool = [(F(0),), (F(1, 2),), (F(2),), (F(1),), (F(-1),), (F(3),)]
-    _register(_entry("T10", "tp", 3, t["T10"], params=("alpha",), lie_base="g2",
-                     samples=g2_alpha_pool, t_series=True))
-    _register(_entry("T11", "tp", 3, t["T11"], params=("alpha",), lie_base="g2",
-                     samples=g2_alpha_pool, t_series=True))
-    _register(_entry("T10s", "tp", 3, t["T10s"], params=("alpha",), lie_base="g2",
+    _register(_entry("T10", "tp", 3, t["T10"], params=("alpha",), samples=g2_alpha_pool))
+    _register(_entry("T11", "tp", 3, t["T11"], params=("alpha",), samples=g2_alpha_pool))
+    _register(_entry("T10s", "tp", 3, t["T10s"], params=("alpha",),
                      samples=[(F(2),), (F(3),), (F(-1),), (F(1, 2),), (F(1),)]))
-    _register(_entry("T12", "tp", 3, t["T12"], params=("beta",), lie_base="g2",
-                     samples=[(F(0),), (F(1),), (F(2),), (F(-1),)], t_series=True))
-    _register(_entry("T17", "tp", 3, t["T17"], params=("beta",), lie_base="g2",
-                     samples=[(F(0),), (F(1),), (F(2),), (F(-1),)], t_series=True))
-    _register(_entry("T19", "tp", 3, t["T19"], params=("gamma",), lie_base="g2",
+    _register(_entry("T12", "tp", 3, t["T12"], params=("beta",),
+                     samples=[(F(0),), (F(1),), (F(2),), (F(-1),)]))
+    _register(_entry("T17", "tp", 3, t["T17"], params=("beta",),
+                     samples=[(F(0),), (F(1),), (F(2),), (F(-1),)]))
+    _register(_entry("T19", "tp", 3, t["T19"], params=("gamma",),
                      domain="gamma != 0", admissible=_nonzero_last,
-                     samples=[(F(1),), (F(2),), (F(-1),), (F(1, 2),)], t_series=True))
+                     samples=[(F(1),), (F(2),), (F(-1),), (F(1, 2),)]))
 
     # T20..T30 are the commutative list with zero bracket
     for i, aid in enumerate(sorted(_COMM3), start=20):
         table = (lambda rows: (lambda: {"mul": rows}))(_COMM3[aid])
-        _register(_entry(f"T{i}", "tp", 3, table, t_series=True,
-                         alt_name=aid))
+        _register(_entry(f"T{i}", "tp", 3, table, alt_name=aid))
     for aid, rows in _COMM3.items():
         _register(_entry(aid, "comm", 3, (lambda r: (lambda: {"mul": r}))(rows)))
     for aid, rows in _COMM2.items():

@@ -98,11 +98,10 @@ def _resolve_input(args):
 
 def _space_doc(space):
     """A solution space with its entries in the space's own field (Q or Q(t))."""
-    if space.kind == "matrix":
-        basis = [matrix_to_json(b, space.field) for b in space.basis]
-    else:
-        basis = [[matrix_to_json(plane, space.field) for plane in b] for b in space.basis]
-    return {"dim": space.dim, "kind": space.kind, "basis": basis}
+    def encode(x):
+        return [encode(v) for v in x] if isinstance(x, tuple) else space.field.format(x)
+
+    return {"dim": space.dim, "kind": space.kind, "basis": encode(space.basis)}
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from . import linalg
-from .algebra import _apply, _map_rows, is_lie
+from .algebra import _apply, _map_rows, flatten, is_lie, residual_cells, unflatten
 
 
 class NotALieAlgebra(ValueError):
@@ -35,31 +36,34 @@ class NotALieAlgebra(ValueError):
 class SolutionSpace:
     """A basis of the nullspace of one of the linear systems above.
 
-    ``basis`` holds matrices (derivation problems) or full n*n*n tensors
-    (biderivation problems); every element satisfies the defining system
-    exactly, and the basis is deterministic: free coordinates in
-    increasing index order, first nonzero coordinate scaled to 1.
+    ``vectors`` are the basis elements in ``algebra.flatten`` order, as the
+    solve returns them; ``basis`` holds them as n x n matrices (depth 2,
+    derivation problems) or n x n x n tensors (depth 3, biderivation
+    problems).  Every element satisfies the defining system exactly, and
+    the basis is deterministic: free coordinates in increasing index
+    order, first nonzero coordinate scaled to 1.
     """
 
     ambient_dim: int
-    kind: str  # "matrix" | "tensor"
-    basis: tuple
+    depth: int
+    vectors: tuple
     field: object
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.vectors)
 
-    def _flatten(self, elt):
-        if self.kind == "matrix":
-            return [elt[r][c] for r in range(self.ambient_dim) for c in range(self.ambient_dim)]
-        n = self.ambient_dim
-        return [elt[i][j][k] for i in range(n) for j in range(n) for k in range(n)]
+    @property
+    def kind(self):
+        return "matrix" if self.depth == 2 else "tensor"
+
+    @cached_property
+    def basis(self):
+        return tuple(unflatten(v, self.ambient_dim, self.depth) for v in self.vectors)
 
     def coords_of(self, elt):
         """Coordinates of elt in this basis, or None if not a member."""
-        return linalg.in_span([self._flatten(b) for b in self.basis],
-                              self._flatten(elt), self.field)
+        return linalg.in_span(self.vectors, flatten(elt), self.field)
 
     def contains(self, elt):
         return self.coords_of(elt) is not None
@@ -68,29 +72,10 @@ class SolutionSpace:
         """Linear combination sum coords[m] * basis[m]."""
         if len(coords) != self.dim:
             raise linalg.DimensionMismatch("coordinate count does not match basis size")
-        n = self.ambient_dim
         z = self.field.zero
-        if self.kind == "matrix":
-            out = [[z] * n for _ in range(n)]
-            for cf, b in zip(coords, self.basis):
-                for r in range(n):
-                    for c in range(n):
-                        out[r][c] = out[r][c] + cf * b[r][c]
-            return [tuple(r) for r in out]
-        out = [[[z] * n for _ in range(n)] for _ in range(n)]
-        for cf, b in zip(coords, self.basis):
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        out[i][j][k] = out[i][j][k] + cf * b[i][j][k]
-        return tuple(tuple(tuple(r) for r in p) for p in out)
-
-
-def _matrix_basis(vectors, n):
-    mats = []
-    for v in vectors:
-        mats.append(tuple(tuple(v[r * n + c] for c in range(n)) for r in range(n)))
-    return tuple(mats)
+        vec = [sum((cf * v[p] for cf, v in zip(coords, self.vectors)), z)
+               for p in range(self.ambient_dim ** self.depth)]
+        return unflatten(vec, self.ambient_dim, self.depth)
 
 
 def delta_derivations(sc, delta):
@@ -101,29 +86,22 @@ def delta_derivations(sc, delta):
     # integer rows for an integer tensor
     q = Fraction(delta).denominator
     rows = [r for r in _map_rows(sc, q, -q * delta, -q * delta) if any(r)]
-    vectors = linalg.nullspace(rows, n * n, sc.field)
-    return SolutionSpace(n, "matrix", _matrix_basis(vectors, n), sc.field)
+    return SolutionSpace(n, 2, tuple(map(tuple, linalg.nullspace(rows, n * n, sc.field))),
+                         sc.field)
 
 
 def derivation_residual(sc, mat, delta):
     """Exact residual phi(e_i e_j) - delta(phi(e_i) e_j + e_i phi(e_j));
     empty iff mat satisfies the system."""
-    n = sc.dim
-    values = _apply(_map_rows(sc, 1, -delta, -delta), mat, sc.field)
-    out = []
-    for p in range(n * n):
-        r = values[p * n:(p + 1) * n]
-        if any(r):
-            out.append(((p // n + 1, p % n + 1), tuple(r)))
-    return out
+    return residual_cells(_apply(_map_rows(sc, 1, -delta, -delta), mat, sc.field), sc.dim)
 
 
 def pair_derivations(pair):
     """Joint 1-derivations of both components of a pair."""
     n = pair.dim
     rows = [r for sc in (pair.mul, pair.bracket) for r in _map_rows(sc, 1, -1, -1) if any(r)]
-    vectors = linalg.nullspace(rows, n * n, pair.field)
-    return SolutionSpace(n, "matrix", _matrix_basis(vectors, n), pair.field)
+    return SolutionSpace(n, 2, tuple(map(tuple, linalg.nullspace(rows, n * n, pair.field))),
+                         pair.field)
 
 
 # ---------------------------------------------------------------------------
@@ -131,18 +109,13 @@ def pair_derivations(pair):
 # ---------------------------------------------------------------------------
 
 def _bider_unknowns(n, symmetric):
-    """Index map (i, j, k) -> unknown position."""
+    """The unknown each cell D(e_i, e_j)_k stands for, in ``flatten``
+    order (cells (i, j, k) and (j, i, k) share one when ``symmetric``),
+    and the number of unknowns."""
     index = {}
-    pos = 0
-    for i in range(n):
-        js = range(i, n) if symmetric else range(n)
-        for j in js:
-            for k in range(n):
-                index[(i, j, k)] = pos
-                if symmetric:
-                    index[(j, i, k)] = pos
-                pos += 1
-    return index, pos
+    cells = [index.setdefault((min(i, j), max(i, j), k) if symmetric else (i, j, k), len(index))
+             for i, j, k in product(range(n), repeat=3)]
+    return cells, len(index)
 
 
 def half_biderivations(bracket, symmetric=True):
@@ -159,34 +132,29 @@ def half_biderivations(bracket, symmetric=True):
         raise NotALieAlgebra("half-biderivations require an anticommutative Jacobi bracket")
     n = bracket.dim
     field = bracket.field
-    index, nunk = _bider_unknowns(n, symmetric)
+    cells, nunk = _bider_unknowns(n, symmetric)
+    unknown = unflatten(cells, n, 3)
     # D(., e_z) and D(e_z, .) are 1/2-derivations of the bracket: unknown
     # P[r][c] of the first is D(e_c, e_z)_r, of the second D(e_z, e_c)_r.
     # For a Lie bracket row (j, i, k) is minus row (i, j, k) and row
     # (i, i, k) vanishes, so rows with i < j suffice.  They are taken twice,
     # as (2, -1, -1), which keeps the nullspace and integer rows integral.
-    labels = product(range(n), repeat=3)
-    lie_rows = [row for (i, j, _), row in zip(labels, _map_rows(bracket, 2, -1, -1))
-                if i < j and any(row)]
-    slots = [lambda c, z, r: (c, z, r)]
+    planes = unflatten(_map_rows(bracket, 2, -1, -1), n, 3)
+    lie_rows = [unflatten(row, n) for i, plane in enumerate(planes)
+                for cell in plane[i + 1:] for row in cell if any(row)]
+    slots = [lambda c, z, r: unknown[c][z][r]]
     if not symmetric:  # for symmetric D the second slot names the same unknowns
-        slots.append(lambda c, z, r: (z, c, r))
+        slots.append(lambda c, z, r: unknown[z][c][r])
     rows = []
     for slot in slots:
         for z in range(n):
-            for row in lie_rows:
+            for mat in lie_rows:
                 new = [field.zero] * nunk
-                for p, v in enumerate(row):
-                    if v:
-                        r, c = divmod(p, n)
-                        new[index[slot(c, z, r)]] += v
+                for r, coeffs in enumerate(mat):
+                    for c, v in enumerate(coeffs):
+                        if v:
+                            new[slot(c, z, r)] += v
                 rows.append(new)
 
     vectors = linalg.nullspace(rows, nunk, field)
-    tensors = []
-    for v in vectors:
-        t = [[[field.zero] * n for _ in range(n)] for _ in range(n)]
-        for (i, j, k), pos in index.items():
-            t[i][j][k] = v[pos]
-        tensors.append(tuple(tuple(tuple(r) for r in p) for p in t))
-    return SolutionSpace(n, "tensor", tuple(tensors), field)
+    return SolutionSpace(n, 3, tuple(tuple(v[p] for p in cells) for v in vectors), field)

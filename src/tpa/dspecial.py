@@ -23,10 +23,13 @@ from .algebra import (
     StructureConstants,
     _apply,
     _map_rows,
+    flatten,
     is_commutative_associative,
+    unflatten,
 )
-from .catalog import instantiate
+from .catalog import instantiate, sample_params
 from .derivations import delta_derivations, derivation_residual
+from .iso import verify_witness
 
 
 class NotADerivation(ValueError):
@@ -38,10 +41,8 @@ def derived_bracket(comm, d):
     if derivation_residual(comm, d, 1):
         raise NotADerivation("matrix is not a derivation of the product")
     n = comm.dim
-    v = _apply(_map_rows(comm, 0, 1, -1), d, comm.field)
-    c = tuple(tuple(tuple(v[(i * n + j) * n:(i * n + j + 1) * n]) for j in range(n))
-              for i in range(n))
-    return StructureConstants(n, comm.field, c)
+    return StructureConstants(n, comm.field,
+                              unflatten(_apply(_map_rows(comm, 0, 1, -1), d, comm.field), n, 3))
 
 
 def brackets_all_zero(comm):
@@ -77,12 +78,11 @@ def derivation_matching_bracket(mul, bracket):
     n^3 derived-bracket rows with the bracket as right-hand side.  Zero
     rows stay in: a bracket entry no derivation reaches is such a row
     with a nonzero right-hand side, and makes the system inconsistent."""
-    n = mul.dim
     field = mul.field
     rows = [r for r in _map_rows(mul, 1, -1, -1) if any(r)]
-    rhs = [field.zero] * len(rows) + [v for plane in bracket.c for row in plane for v in row]
+    rhs = [field.zero] * len(rows) + flatten(bracket.c)
     x = linalg.solve(rows + _map_rows(mul, 0, 1, -1), rhs, field)
-    return None if x is None else [x[r * n:(r + 1) * n] for r in range(n)]
+    return None if x is None else [list(r) for r in unflatten(x, mul.dim)]
 
 
 def is_strong_d_special(pair):
@@ -145,9 +145,6 @@ def n02_obstruction_report(samples=None):
       * along that automorphism family no witness identifies the
         commutator pair with N02.
     """
-    from .catalog import sample_params
-    from .iso import verify_witness
-
     if samples is None:
         samples = sample_params("NP02", 5)
     n02 = instantiate("N02")

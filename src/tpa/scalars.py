@@ -213,20 +213,6 @@ class RatFunc:
             return NotImplemented
         return other / self
 
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return (RatFunc(1) / self) ** (-k)
-        out = RatFunc(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other):
         other = self._lift(other)
         if other is NotImplemented:
@@ -245,13 +231,6 @@ class RatFunc:
         return f"RatFunc({format_ratfunc(self)!r})"
 
     # -- analysis ------------------------------------------------------------
-    def valuation(self):
-        """t-adic valuation (numerator minus denominator), None for zero."""
-        vn = _pval(self.num)
-        if vn is None:
-            return None
-        return vn - _pval(self.den)
-
     def limit_at_zero(self):
         """Value at t -> 0; raises Diverges if there is a pole there.
 
@@ -394,27 +373,19 @@ def _quotient(num, den):
     return num / den
 
 
-_FRAC_FORM = re.compile(r"\((?P<n>.+?)\)\s*/\s*\((?P<d>.+)\)$")
-
-
 def parse_ratfunc(s):
     """Parse a Q(t) scalar.
 
-    Accepted forms: plain rationals ("5/6"), monomial sums with optionally
-    negative exponents ("2*t^3", "t^-1", "1 - 2*t"), a quotient of two
-    parenthesised sums "(1 + t)/(3*t)", and simple quotients like "1/t".
+    Accepted forms: monomial sums with rational coefficients and optionally
+    negative exponents ("5/6", "2*t^3", "t^-1", "1 - 2*t"), and a quotient
+    of two such sums at the top-level "/", each side optionally
+    parenthesised: "(1 + t)/(3*t)", "1/t".
     """
     s = s.strip()
-    if _RAT_RE.match(s):
-        return RatFunc(Fraction(s))
-    m = _FRAC_FORM.match(s)
-    if m:
-        return _quotient(m.group("n"), m.group("d"))
     try:
         return _terms_to_ratfunc(_parse_terms(s))
     except ScalarParseError:
         pass
-    # fall back: a single top-level quotient such as "1/t" or "t/(t+1)"
     depth = 0
     for i, ch in enumerate(s):
         if ch == "(":
@@ -422,7 +393,7 @@ def parse_ratfunc(s):
         elif ch == ")":
             depth -= 1
         elif ch == "/" and depth == 0:
-            left, right = s[:i], s[i + 1 :]
+            left, right = s[:i].strip(), s[i + 1:].strip()
             if right.startswith("(") and right.endswith(")"):
                 right = right[1:-1]
             if left.startswith("(") and left.endswith(")"):

@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from tpa.algebra import (
     AlgebraPair,
     StructureConstants,
+    _map_rows,
     check_identity,
+    flatten,
     gl_action,
     is_poisson,
     is_transposed_poisson,
@@ -18,9 +21,10 @@ from tpa.algebra import (
     pair_to_json,
     pairs_equal,
     transport,
+    unflatten,
 )
-from tpa.catalog import instantiate
-from tpa.linalg import DimensionMismatch, SingularMatrix, identity
+from tpa.catalog import CATALOG, instantiate, sample_params, t_series_samples
+from tpa.linalg import DimensionMismatch, SingularMatrix, det, identity
 from tpa.scalars import QQ
 
 
@@ -269,3 +273,95 @@ def test_row_derived_identities_match_naive_loop_over_qt():
             for which in ROW_DERIVED:
                 assert check_identity(pair, which).violations == \
                     _naive_violations(pair, which), (inst.row, inst.name, which)
+
+
+# ---------------------------------------------------------------------------
+# the entry-driven row builder against the dense scan it replaced
+# ---------------------------------------------------------------------------
+
+def _dense_map_rows(sc, a, b, c):
+    """``_map_rows`` as it was before it read ``sc.entries()``: every
+    cell of the tensor tested for zero, n^4 times over.  The reference."""
+    n = sc.dim
+    field = sc.field
+    a, b, c = (field.coerce(x) for x in (a, b, c))
+    t = sc.c
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            tij = t[i][j]
+            for k in range(n):
+                row = [field.zero] * (n * n)
+                if a:
+                    for m in range(n):
+                        if tij[m]:
+                            row[k * n + m] += a * tij[m]
+                for r in range(n):
+                    if t[r][j][k]:
+                        row[r * n + i] += b * t[r][j][k]
+                    if t[i][r][k]:
+                        row[r * n + j] += c * t[i][r][k]
+                rows.append(row)
+    return rows
+
+
+ROW_COEFFS = ((1, -1, -1), (0, 1, -1), (2, -1, -1), (1, 0, -1), (1, F(-1, 2), F(-1, 2)))
+
+
+def _row_inputs():
+    """Every catalog sample, a dense GL(3,Q) change of basis of each
+    T-series sample, and the Q(t) table sources before and after their
+    curve acts."""
+    from tpa.degeneration import load_rows
+
+    for cid in sorted(CATALOG):
+        for params in sample_params(cid, len(CATALOG[cid].samples)):
+            yield cid, instantiate(cid, params)
+    rng = random.Random(9)
+    for tid, params, pair in t_series_samples():
+        while True:
+            g = [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)] for _ in range(3)]
+            if det(g, QQ):
+                break
+        yield tid, transport(pair, g)
+    for inst in load_rows():
+        source = inst.source_pair()
+        yield inst.name, source
+        yield inst.name, gl_action(source, inst.g_matrix())
+
+
+def test_map_rows_match_dense_scan():
+    checked = 0
+    for label, pair in _row_inputs():
+        for sc in (pair.mul, pair.bracket):
+            for coeffs in ROW_COEFFS:
+                new, old = _map_rows(sc, *coeffs), _dense_map_rows(sc, *coeffs)
+                assert new == old, (label, coeffs)
+                for x, y in zip(flatten(new), flatten(old)):
+                    # the entry-driven rows store an integral value as an int
+                    assert type(x) is type(y) or (
+                        type(x) is int and type(y) is F and y.denominator == 1), (label, x, y)
+                checked += 1
+    assert checked > 2500
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_flatten_unflatten_roundtrip(n):
+    vec = list(range(n ** 3))
+    tensor = unflatten(vec, n, 3)
+    assert tensor[n - 1][0][n - 1] == (n - 1) * n * n + n - 1  # row-major
+    assert flatten(tensor) == vec
+    assert unflatten(flatten(tensor), n, 3) == tensor
+    mat = unflatten(vec[:n * n], n)
+    assert mat == tuple(tuple(range(r * n, (r + 1) * n)) for r in range(n))
+    assert flatten(mat) == vec[:n * n]
+    assert flatten([list(row) for row in mat]) == vec[:n * n]
+
+
+def test_operator_identity_violation_order():
+    # e1.e1 = -e2, e1.e2 = e2, e2.e1 = -e2 is not associative; violations
+    # come labelled (i, j, z) in lexicographic order, z innermost
+    mul = StructureConstants.from_entries(2, [(1, 1, 2, -1), (1, 2, 2, 1), (2, 1, 2, -1)])
+    pair = AlgebraPair(mul, StructureConstants.zero(2))
+    assert check_identity(pair, "associative").violations == (
+        ((1, 1, 1), (0, 2)), ((1, 1, 2), (0, -1)), ((2, 1, 1), (0, 1)))
