@@ -21,7 +21,9 @@ only for anticommutative brackets.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .linalg import DimensionMismatch
@@ -89,24 +91,15 @@ class StructureConstants:
                         out[k] = out[k] + f * row[k]
         return out
 
+    @cached_property
     def entries(self):
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    if self.c[i][j][k]:
-                        yield (i, j, k, self.c[i][j][k])
+        """The nonzero (i, j, k, c[i][j][k]), 0-based, in row-major order;
+        the cube is scanned once per tensor."""
+        return tuple((i, j, k, v) for i, plane in enumerate(self.c)
+                     for j, row in enumerate(plane) for k, v in enumerate(row) if v)
 
     def is_zero(self):
-        return next(self.entries(), None) is None
-
-    def map_scalars(self, fn, field):
-        return StructureConstants(
-            self.dim,
-            field,
-            tuple(
-                tuple(tuple(fn(v) for v in row) for row in plane) for plane in self.c
-            ),
-        )
+        return not self.entries
 
 
 @dataclass(frozen=True)
@@ -182,7 +175,7 @@ def _map_rows(sc, a, b, c):
     field = sc.field
     a, b, c = (field.coerce(x) for x in (a, b, c))
     rows = [[field.zero] * (n * n) for _ in range(n ** 3)]
-    for p, q, s, v in sc.entries():
+    for p, q, s, v in sc.entries:
         # coerce stores an integral product as an int
         av, bv, cv = (field.coerce(x * v) for x in (a, b, c))
         for m in range(n):
@@ -260,35 +253,16 @@ class IdentityReport:
     violations: tuple  # ((indices), residual coordinate vector)
 
 
-def _vec_sub(a, b):
-    return [x - y for x, y in zip(a, b)]
-
-
-def _nonzero(v):
-    return any(x for x in v)
-
-
-def _commutative(pair):
-    mul = pair.mul
+def _mirror(sc, sign, diagonal):
+    """Violations of c[i][j] + sign c[j][i] = 0 at i < j, and of the square
+    c[i][i] = 0 when ``diagonal``, labelled (i, j)."""
     out = []
-    for i in range(mul.dim):
-        for j in range(i + 1, mul.dim):
-            r = _vec_sub(mul.prod(i, j), mul.prod(j, i))
-            if _nonzero(r):
-                out.append(((i + 1, j + 1), tuple(r)))
-    return out
-
-
-def _anticommutative(pair):
-    br = pair.bracket
-    out = []
-    for i in range(br.dim):
-        for j in range(i, br.dim):
-            r = [x + y for x, y in zip(br.prod(i, j), br.prod(j, i))] if i != j else list(
-                br.prod(i, i)
-            )
-            if _nonzero(r):
-                out.append(((i + 1, j + 1), tuple(r)))
+    for i in range(sc.dim):
+        for j in range(i if diagonal else i + 1, sc.dim):
+            r = tuple(sc.c[i][i]) if i == j else tuple(
+                x + sign * y for x, y in zip(sc.c[i][j], sc.c[j][i]))
+            if any(r):
+                out.append(((i + 1, j + 1), r))
     return out
 
 
@@ -296,26 +270,14 @@ def _jacobi(pair):
     """Jacobi on ordered triples i < j < k; with anticommutativity this
     covers all instantiations (checked separately by `anticommutative`)."""
     br = pair.bracket
-    n = br.dim
+    e = linalg.identity(br.dim, br.field)
     out = []
-
-    def bk(v, w):
-        return br.evaluate(v, w)
-
-    basis = linalg.identity(n, br.field)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                r = [
-                    a + b + c
-                    for a, b, c in zip(
-                        bk(br.prod(i, j), basis[k]),
-                        bk(br.prod(j, k), basis[i]),
-                        bk(br.prod(k, i), basis[j]),
-                    )
-                ]
-                if _nonzero(r):
-                    out.append(((i + 1, j + 1, k + 1), tuple(r)))
+    for i, j, k in itertools.combinations(range(br.dim), 3):
+        r = tuple(a + b + c for a, b, c in zip(br.evaluate(br.c[i][j], e[k]),
+                                               br.evaluate(br.c[j][k], e[i]),
+                                               br.evaluate(br.c[k][i], e[j])))
+        if any(r):
+            out.append(((i + 1, j + 1, k + 1), r))
     return out
 
 
@@ -329,10 +291,10 @@ def _operator_identity(rows_sc, coeffs, op_sc, left=False):
 
 
 _IDENTITY_CHECKS = {
-    "commutative": _commutative,
+    "commutative": lambda p: _mirror(p.mul, -1, diagonal=False),
     # (x.y).z - x.(y.z): right multiplication by z against rows (1, 0, -1)
     "associative": lambda p: _operator_identity(p.mul, (1, 0, -1), p.mul),
-    "anticommutative": _anticommutative,
+    "anticommutative": lambda p: _mirror(p.bracket, 1, diagonal=True),
     "jacobi": _jacobi,
     # 2 z.[x,y] - [z.x, y] - [x, z.y]: left multiplication by z against the
     # 1/2-derivation rows of the bracket, scaled by 2
@@ -382,7 +344,8 @@ def is_poisson(pair):
 def limit_pair(pair):
     """Entrywise limit at t -> 0 of a pair over Q(t); raises Diverges on poles."""
     def lim_sc(sc):
-        return sc.map_scalars(limit_at_zero, QQ)
+        return StructureConstants.from_entries(
+            sc.dim, [(i + 1, j + 1, k + 1, limit_at_zero(v)) for i, j, k, v in sc.entries])
 
     return AlgebraPair(lim_sc(pair.mul), lim_sc(pair.bracket))
 
@@ -392,7 +355,7 @@ def limit_pair(pair):
 # ---------------------------------------------------------------------------
 
 def sc_to_entries(sc):
-    return [[i + 1, j + 1, k + 1, sc.field.format(v)] for i, j, k, v in sc.entries()]
+    return [[i + 1, j + 1, k + 1, sc.field.format(v)] for i, j, k, v in sc.entries]
 
 
 def pair_to_json(pair):

@@ -15,6 +15,7 @@ Entry kinds:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -357,13 +358,12 @@ def sample_params(id, count):
     return pool[: min(count, len(pool))] if count < len(pool) else pool
 
 
+@functools.cache
 def t_series_samples():
-    """(id, params, pair) for the whole T-series at the deterministic profile."""
-    out = []
-    for tid in T_SERIES_IDS:
-        for params in sample_params(tid, 10):
-            out.append((tid, params, instantiate(tid, params)))
-    return out
+    """(id, params, pair) for the whole T-series at the deterministic
+    profile, built once per process."""
+    return tuple((tid, params, instantiate(tid, params))
+                 for tid in T_SERIES_IDS for params in sample_params(tid, 10))
 
 
 # ---------------------------------------------------------------------------

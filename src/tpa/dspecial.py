@@ -59,15 +59,9 @@ def brackets_all_zero(comm):
 def commutator_bracket(mul2):
     """Commutator tensor (x, y) -> x o y - y o x of a second (possibly
     non-associative) product."""
-    n = mul2.dim
-    c = tuple(
-        tuple(
-            tuple(mul2.c[i][j][k] - mul2.c[j][i][k] for k in range(n))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return StructureConstants(n, mul2.field, c)
+    return StructureConstants.from_entries(mul2.dim, [
+        e for i, j, k, v in mul2.entries
+        for e in ((i + 1, j + 1, k + 1, v), (j + 1, i + 1, k + 1, -v))], mul2.field)
 
 
 def derivation_matching_bracket(mul, bracket):
@@ -131,7 +125,7 @@ def novikov_commutator_pair(np_id, params=()):
     return AlgebraPair(np_pair.mul, commutator_bracket(np_pair.bracket))
 
 
-def n02_obstruction_report(samples=None):
+def n02_obstruction_report():
     """Span obstructions showing the 2-dimensional pair N02 cannot carry a
     Novikov structure whose commutator reproduces its bracket.
 
@@ -145,8 +139,6 @@ def n02_obstruction_report(samples=None):
       * along that automorphism family no witness identifies the
         commutator pair with N02.
     """
-    if samples is None:
-        samples = sample_params("NP02", 5)
     n02 = instantiate("N02")
     one = n02.field.one
     zero = n02.field.zero
@@ -159,7 +151,7 @@ def n02_obstruction_report(samples=None):
         "automorphisms_fix_e2_and_span_e1": True,
         "no_witness_along_family": True,
     }
-    for params in samples:
+    for params in sample_params("NP02", 5):
         a, b, _g = params
         comm_pair = novikov_commutator_pair("NP02", params)
         cb = comm_pair.bracket

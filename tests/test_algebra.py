@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -24,8 +25,9 @@ from tpa.algebra import (
     unflatten,
 )
 from tpa.catalog import CATALOG, instantiate, sample_params, t_series_samples
+from tpa.dspecial import commutator_bracket
 from tpa.linalg import DimensionMismatch, SingularMatrix, det, identity
-from tpa.scalars import QQ
+from tpa.scalars import QQ, Diverges, limit_at_zero
 
 
 def basis(k, n=3):
@@ -365,3 +367,167 @@ def test_operator_identity_violation_order():
     pair = AlgebraPair(mul, StructureConstants.zero(2))
     assert check_identity(pair, "associative").violations == (
         ((1, 1, 1), (0, 2)), ((1, 1, 2), (0, -1)), ((2, 1, 1), (0, 1)))
+
+
+# ---------------------------------------------------------------------------
+# the walks over the cached nonzero entries against the loops they replaced
+# ---------------------------------------------------------------------------
+
+def _scanned_entries(sc):
+    """``StructureConstants.entries`` as it was, a generator re-scanning
+    the cube on every call.  The reference, like those below."""
+    for i in range(sc.dim):
+        for j in range(sc.dim):
+            for k in range(sc.dim):
+                if sc.c[i][j][k]:
+                    yield (i, j, k, sc.c[i][j][k])
+
+
+def _vec_sub(a, b):
+    return [x - y for x, y in zip(a, b)]
+
+
+def _nonzero(v):
+    return any(x for x in v)
+
+
+def _commutative(pair):
+    mul = pair.mul
+    out = []
+    for i in range(mul.dim):
+        for j in range(i + 1, mul.dim):
+            r = _vec_sub(mul.prod(i, j), mul.prod(j, i))
+            if _nonzero(r):
+                out.append(((i + 1, j + 1), tuple(r)))
+    return out
+
+
+def _anticommutative(pair):
+    br = pair.bracket
+    out = []
+    for i in range(br.dim):
+        for j in range(i, br.dim):
+            r = [x + y for x, y in zip(br.prod(i, j), br.prod(j, i))] if i != j else list(
+                br.prod(i, i)
+            )
+            if _nonzero(r):
+                out.append(((i + 1, j + 1), tuple(r)))
+    return out
+
+
+def _jacobi(pair):
+    br = pair.bracket
+    n = br.dim
+    out = []
+
+    def bk(v, w):
+        return br.evaluate(v, w)
+
+    basis = identity(n, br.field)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                r = [
+                    a + b + c
+                    for a, b, c in zip(
+                        bk(br.prod(i, j), basis[k]),
+                        bk(br.prod(j, k), basis[i]),
+                        bk(br.prod(k, i), basis[j]),
+                    )
+                ]
+                if _nonzero(r):
+                    out.append(((i + 1, j + 1, k + 1), tuple(r)))
+    return out
+
+
+def _map_scalars(sc, fn, field):
+    return StructureConstants(
+        sc.dim,
+        field,
+        tuple(
+            tuple(tuple(fn(v) for v in row) for row in plane) for plane in sc.c
+        ),
+    )
+
+
+def _mapped_limit_pair(pair):
+    def lim_sc(sc):
+        return _map_scalars(sc, limit_at_zero, QQ)
+
+    return AlgebraPair(lim_sc(pair.mul), lim_sc(pair.bracket))
+
+
+def _looped_commutator_bracket(mul2):
+    n = mul2.dim
+    c = tuple(
+        tuple(
+            tuple(mul2.c[i][j][k] - mul2.c[j][i][k] for k in range(n))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    return StructureConstants(n, mul2.field, c)
+
+
+MIRROR_CHECKS = {"commutative": _commutative, "anticommutative": _anticommutative,
+                 "jacobi": _jacobi}
+
+
+def _same_typed(new, old):
+    """Equal and of the same scalar types, cell by cell, through nested
+    tuples and lists."""
+    if isinstance(old, (tuple, list)):
+        return len(new) == len(old) and all(_same_typed(x, y) for x, y in zip(new, old))
+    return new == old and type(new) is type(old)
+
+
+def _assert_walks_match(pair, label):
+    for sc in (pair.mul, pair.bracket):
+        assert _same_typed(sc.entries, tuple(_scanned_entries(sc))), label
+        assert sc.is_zero() == (next(_scanned_entries(sc), None) is None), label
+    for which, reference in MIRROR_CHECKS.items():
+        assert _same_typed(check_identity(pair, which).violations, tuple(reference(pair))), \
+            (label, which)
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_pairs())
+def test_entry_walks_match_replaced_loops(pair):
+    _assert_walks_match(pair, "random")
+
+
+def test_entry_walks_match_replaced_loops_on_catalog_moves_and_curves():
+    # every catalog sample, the GL(3,Q) moves of the T-series and the Q(t)
+    # table sources before and after their curve
+    inputs = list(_row_inputs())
+    for label, pair in inputs:
+        _assert_walks_match(pair, label)
+    assert len(inputs) > 250
+
+
+def test_limit_pair_matches_mapped_limit():
+    from tpa.degeneration import load_rows
+
+    limits = 0
+    for inst in load_rows():
+        source = inst.source_pair()
+        for pair in (source, gl_action(source, inst.g_matrix())):
+            try:
+                old = _mapped_limit_pair(pair)
+            except Diverges as exc:
+                with pytest.raises(Diverges, match=re.escape(str(exc))):
+                    limit_pair(pair)
+                continue
+            new = limit_pair(pair)
+            assert _same_typed(new.mul.c, old.mul.c) and _same_typed(
+                new.bracket.c, old.bracket.c), (inst.row, inst.name)
+            limits += 1
+    assert limits > 50
+
+
+def test_commutator_bracket_matches_looped_difference():
+    for nid in ("NP01", "NP02"):
+        for params in sample_params(nid, 5):
+            mul2 = instantiate(nid, params).bracket
+            assert _same_typed(commutator_bracket(mul2).c,
+                               _looped_commutator_bracket(mul2).c), (nid, params)

@@ -79,4 +79,7 @@ def test_fingerprint_is_transport_invariant():
 def test_random_invertible_helper():
     rng = random.Random(1)
     for _ in range(20):
-        assert det(_random_invertible(rng, 3), QQ) != 0
+        g = _random_invertible(rng, 3)
+        assert det(g, QQ) != 0
+        # integral rationals are plain ints throughout the package
+        assert all(type(v) is int for row in g for v in row)
