@@ -29,7 +29,7 @@ from .catalog import (
 from .derivations import NotALieAlgebra, delta_derivations, half_biderivations
 from .dspecial import derivation_matching_bracket, derived_bracket
 from .enumeration import member_pair, tp_family
-from .iso import FINGERPRINT_FIELDS, distinguish, fingerprint, verify_witness
+from .iso import distinguish, fingerprint, verify_witness
 from .scalars import QQ, ScalarParseError, parse_rational
 
 
@@ -186,8 +186,7 @@ def cmd_iso(args):
 def cmd_fingerprint(args):
     pair = _resolve_input(args)
     fp = fingerprint(pair)
-    _emit({"fingerprint": list(fp),
-           "fields": list(FINGERPRINT_FIELDS)}, args.pretty)
+    _emit({"fingerprint": list(fp), "fields": list(fp._fields)}, args.pretty)
     return 0
 
 

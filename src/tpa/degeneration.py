@@ -9,8 +9,8 @@ are family degenerations: for those the derivation-dimension argument
 only gives weak (non-strict) semicontinuity.
 
 ``necessary_checks`` is the one statement of the closed necessary
-conditions; table rows and the rigidity audit both compare
-``closure_invariants`` records through it.
+conditions; table rows and the rigidity audit both compare the
+fingerprints of source and target through it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .algebra import (
 )
 from .catalog import instantiate
 from .derivations import pair_derivations
-from .iso import span_dims, verify_witness
+from .iso import catalog_fingerprint, verify_witness
 from .scalars import QQ, QQ_T, Diverges
 
 
@@ -87,14 +87,6 @@ class DegenerationInstance:
             if ok:
                 out.append(tuple(params))
         return out
-
-
-@dataclass(frozen=True)
-class ClosureInvariants:
-    """What the closed necessary conditions compare (see ``necessary_checks``)."""
-
-    spans: tuple        # (dim V.V, dim [V,V], dim of their sum); 0 for a zero component
-    der_dim: int        # joint derivation dimension
 
 
 @dataclass
@@ -176,12 +168,10 @@ def verify_instance(inst, index=0):
         samples = inst.t_samples()
         if not samples:
             raise ValueError(f"row {inst.row}: no rational sample of the source parameters")
-        tgt = closure_invariants(target)
-        distinct = {p: closure_invariants(instantiate(inst.source[0], p))
-                    for p in dict.fromkeys(samples)}
-        srcs = [distinct[p] for p in samples]
-        report.der_dims = {"source_at_samples": [s.der_dim for s in srcs],
-                           "target": tgt.der_dim}
+        tgt = catalog_fingerprint(inst.target[0], tuple(map(QQ.parse, inst.target[1])))
+        srcs = [catalog_fingerprint(inst.source[0], p) for p in samples]
+        report.der_dims = {"source_at_samples": [s.dim_der_pair for s in srcs],
+                           "target": tgt.dim_der_pair}
         per_sample = [necessary_checks(s, tgt, report.family_source) for s in srcs]
         report.checks = {k: all(c[k] for c in per_sample)
                          for k in per_sample[0] if k != "der_dims"}
@@ -213,25 +203,20 @@ def orbit_dim(pair):
     return 9 - pair_derivations(pair).dim
 
 
-def closure_invariants(pair):
-    """The invariants the closed necessary conditions compare."""
-    return ClosureInvariants(span_dims(pair), pair_derivations(pair).dim)
-
-
 def necessary_checks(source, target, family_source=False):
-    """Closed obstructions to source -> target, given the closure invariants
-    of both: derivation dimension must rise (strictly unless the source is a
+    """Closed obstructions to source -> target, given the fingerprints of
+    both: derivation dimension must rise (strictly unless the source is a
     whole family), product/bracket/joint span dimensions cannot grow, and a
     zero component must stay zero."""
-    ds, dt = source.der_dim, target.der_dim
+    ds, dt = source.dim_der_pair, target.dim_der_pair
     report = {
         "der_dims": (ds, dt),
         "der_dim_ok": ds <= dt if family_source else ds < dt,
-        "mul_span_nonincreasing": source.spans[0] >= target.spans[0],
-        "bracket_span_nonincreasing": source.spans[1] >= target.spans[1],
-        "joint_span_nonincreasing": source.spans[2] >= target.spans[2],
-        "mul_zero_component": not (source.spans[0] == 0 and target.spans[0]),
-        "bracket_zero_component": not (source.spans[1] == 0 and target.spans[1]),
+        "mul_span_nonincreasing": source.dim_sq >= target.dim_sq,
+        "bracket_span_nonincreasing": source.dim_br >= target.dim_br,
+        "joint_span_nonincreasing": source.dim_span >= target.dim_span,
+        "mul_zero_component": not (source.dim_sq == 0 and target.dim_sq),
+        "bracket_zero_component": not (source.dim_br == 0 and target.dim_br),
     }
     report["ok"] = all(v for k, v in report.items() if k != "der_dims")
     return report

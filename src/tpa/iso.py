@@ -8,27 +8,31 @@ is one-sided - it can prove two pairs non-isomorphic, never isomorphic.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .algebra import operator_matrix, pairs_equal, transport
+from .catalog import instantiate
 from .derivations import delta_derivations, pair_derivations
 from .linalg import DimensionMismatch, SingularMatrix
 
-#: component names of the fingerprint tuple, in order
-FINGERPRINT_FIELDS = (
-    "dim_sq",          # dim V.V
-    "dim_br",          # dim [V,V]
-    "dim_span",        # dim span(V.V + [V,V])
-    "dim_cube",        # dim V.(V.V)
-    "dim_ann",         # dim ann(.)
-    "dim_center",      # dim center([,])
-    "dim_der_mul",     # dim Der(.)
-    "dim_der_br",      # dim Der([,])
-    "dim_der_pair",    # dim Der(pair)
-    "dim_halfder_br",  # dim of the 1/2-derivations of [,]
-    "has_unit",
-)
+
+class Fingerprint(NamedTuple):
+    """The integer isomorphism invariants of a pair, in a fixed order."""
+
+    dim_sq: int          # dim V.V
+    dim_br: int          # dim [V,V]
+    dim_span: int        # dim span(V.V + [V,V])
+    dim_cube: int        # dim V.(V.V)
+    dim_ann: int         # dim ann(.)
+    dim_center: int      # dim center([,])
+    dim_der_mul: int     # dim Der(.)
+    dim_der_br: int      # dim Der([,])
+    dim_der_pair: int    # dim Der(pair)
+    dim_halfder_br: int  # dim of the 1/2-derivations of [,]
+    has_unit: int
 
 
 def verify_witness(a, b, m):
@@ -63,25 +67,20 @@ def _has_unit(sc):
     return 1 if linalg.solve(_right_mul_rows(sc), rhs, sc.field) is not None else 0
 
 
-def span_dims(pair):
-    """(dim V.V, dim [V,V], dim span(V.V + [V,V])) of a pair."""
-    sq, br = _product_vectors(pair.mul), _product_vectors(pair.bracket)
-    field = pair.field
-    return (linalg.span_dim(sq, field), linalg.span_dim(br, field),
-            linalg.span_dim(sq + br, field))
-
-
 def fingerprint(pair):
-    """Ordered tuple of integer isomorphism invariants of a pair."""
+    """The ``Fingerprint`` of a pair."""
     mul, br = pair.mul, pair.bracket
     field = pair.field
+    sq, brs = _product_vectors(mul), _product_vectors(br)
     cube = [
         mul.evaluate(basis_i, v)
-        for v in _product_vectors(mul)
+        for v in sq
         for basis_i in linalg.identity(mul.dim, field)
     ]
-    return (
-        *span_dims(pair),
+    return Fingerprint(
+        linalg.span_dim(sq, field),
+        linalg.span_dim(brs, field),
+        linalg.span_dim(sq + brs, field),
         linalg.span_dim(cube, field),
         _annihilator_dim(mul),
         _annihilator_dim(br),
@@ -91,6 +90,15 @@ def fingerprint(pair):
         delta_derivations(br, Fraction(1, 2)).dim,
         _has_unit(mul),
     )
+
+
+@functools.lru_cache(maxsize=256)
+def catalog_fingerprint(id, params=()):
+    """``fingerprint(instantiate(id, params))``, computed once per catalog
+    key; ``params`` is a tuple, and equal values (``2`` and
+    ``Fraction(2)``) share one entry.  256 covers the 182 distinct keys of
+    one ``verify-paper`` run."""
+    return fingerprint(instantiate(id, params))
 
 
 def distinguish(a, b):

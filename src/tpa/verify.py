@@ -52,7 +52,7 @@ from .dspecial import (
     novikov_commutator_pair,
 )
 from .enumeration import member_pair, tp_family
-from .iso import fingerprint, verify_witness
+from .iso import catalog_fingerprint, verify_witness
 from .scalars import QQ, RatFunc
 
 F = Fraction
@@ -264,7 +264,8 @@ def claim_enumeration():
 
 def claim_witnesses():
     failures, fp_mismatch = [], []
-    for w in known_isomorphisms():
+    witnesses = known_isomorphisms()
+    for w in witnesses:
         a = instantiate(*w.source)
         b = instantiate(*w.target)
         m = [list(r) for r in w.matrix]
@@ -272,10 +273,10 @@ def claim_witnesses():
             failures.append({"name": w.name,
                              "source": [w.source[0], [str(p) for p in w.source[1]]],
                              "target": [w.target[0], [str(p) for p in w.target[1]]]})
-        elif fingerprint(a) != fingerprint(b):
+        elif catalog_fingerprint(*w.source) != catalog_fingerprint(*w.target):
             fp_mismatch.append(w.name)
     ok = not failures and not fp_mismatch
-    return _claim("isomorphism-witnesses", ok, count=len(known_isomorphisms()),
+    return _claim("isomorphism-witnesses", ok, count=len(witnesses),
                   failures=failures, fingerprint_mismatches=fp_mismatch)
 
 
@@ -417,10 +418,9 @@ def rigidity_audit(reports):
     verified_targets = {rep.target for rep in reports if rep.verified}
     open_list = []
     table_hits = []
-    invariants = degeneration.closure_invariants
-    members = [(mid, mp, invariants(instantiate(mid, mp)))
+    members = [(mid, mp, catalog_fingerprint(mid, mp))
                for mid, mp in degeneration.rigid_component_members()]
-    sources = [(sid, sp, invariants(spair)) for sid, sp, spair in t_series_samples()]
+    sources = [(sid, sp, catalog_fingerprint(sid, sp)) for sid, sp, _ in t_series_samples()]
     for sid, sparams, sinv in sources:
         for mid, mparams, minv in members:
             if sid == mid:
@@ -529,7 +529,7 @@ def separation_audit():
     """Pairwise `distinguish` over the sampled T-series.  Unseparated pairs
     must stay within one parametric family, up to SEPARATION_EXCEPTIONS."""
     samples = t_series_samples()
-    prints = [(tid, params, fingerprint(pair)) for tid, params, pair in samples]
+    prints = [(tid, params, catalog_fingerprint(tid, params)) for tid, params, _ in samples]
     cross_family = []
     same_family = 0
     for i in range(len(prints)):

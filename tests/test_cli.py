@@ -75,7 +75,12 @@ def test_enumerate(capsys):
 def test_fingerprint(capsys):
     code, doc = run(capsys, "fingerprint", "--id", "T20")
     assert code == 0
-    assert doc["fingerprint"][0] == 3 and doc["fingerprint"][-1] == 1
+    assert doc == {
+        "fingerprint": [3, 0, 3, 3, 0, 3, 0, 9, 0, 9, 1],
+        "fields": ["dim_sq", "dim_br", "dim_span", "dim_cube", "dim_ann", "dim_center",
+                   "dim_der_mul", "dim_der_br", "dim_der_pair", "dim_halfder_br",
+                   "has_unit"],
+    }
 
 
 #: sha256 of the whole ``degenerate --all`` stdout

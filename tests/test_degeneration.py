@@ -7,7 +7,6 @@ from tpa.catalog import instantiate
 from tpa.degeneration import (
     DegenerationInstance,
     SingularFamily,
-    closure_invariants,
     load_rows,
     necessary_checks,
     orbit_dim,
@@ -16,6 +15,7 @@ from tpa.degeneration import (
     verify_row,
     witness_errata,
 )
+from tpa.iso import fingerprint
 from tpa.verify import RIGIDITY_OPEN_LIST, rigidity_audit
 
 #: joint derivation dimensions, frozen from independent hand elimination
@@ -146,15 +146,15 @@ def test_orbit_dims():
 
 
 def test_necessary_checks_direction():
-    t05, t02 = closure_invariants(instantiate("T05")), closure_invariants(instantiate("T02"))
+    t05, t02 = fingerprint(instantiate("T05")), fingerprint(instantiate("T02"))
     assert necessary_checks(t05, t02)["ok"]
     back = necessary_checks(t02, t05)
     assert not back["ok"] and not back["der_dim_ok"]
 
 
 def test_necessary_checks_zero_component():
-    t01 = closure_invariants(instantiate("T01"))
-    t20 = closure_invariants(instantiate("T20"))
+    t01 = fingerprint(instantiate("T01"))
+    t20 = fingerprint(instantiate("T20"))
     rep = necessary_checks(t20, t01)
     assert not rep["bracket_span_nonincreasing"] or not rep["bracket_zero_component"]
     assert not rep["ok"]
@@ -165,14 +165,14 @@ def test_necessary_checks_zero_component():
 
 def test_necessary_checks_weak_for_families():
     # equal derivation dimensions pass only the weak (family) test
-    t05 = closure_invariants(instantiate("T05"))
+    t05 = fingerprint(instantiate("T05"))
     assert necessary_checks(t05, t05, family_source=True)["der_dim_ok"]
     assert not necessary_checks(t05, t05)["der_dim_ok"]
 
 
 def test_row_checks_are_necessary_checks():
     # a row's checks are the necessary_checks keys, AND-ed over its samples
-    t05, t02 = closure_invariants(instantiate("T05")), closure_invariants(instantiate("T02"))
+    t05, t02 = fingerprint(instantiate("T05")), fingerprint(instantiate("T02"))
     keys = set(necessary_checks(t05, t02)) - {"der_dims"}
     for r in verify_all():
         assert set(r.checks) == keys, (r.row, r.instance)

@@ -220,13 +220,12 @@ def test_double_labelled_families_are_distinct():
     # the strong D-special table prints two families under one label; they
     # live on non-isomorphic products (3- vs 2-dimensional product span)
     from tpa.iso import distinguish, fingerprint
-    from tpa.iso import FINGERPRINT_FIELDS
 
     d06 = instantiate("D06", [F(1), F(2)])
     d06b = instantiate("D06b", [F(1)])
     assert distinguish(d06, d06b) == "proved_noniso"
-    fa = dict(zip(FINGERPRINT_FIELDS, fingerprint(d06)))
-    fb = dict(zip(FINGERPRINT_FIELDS, fingerprint(d06b)))
+    fa = fingerprint(d06)._asdict()
+    fb = fingerprint(d06b)._asdict()
     assert fa["dim_sq"] == 3 and fb["dim_sq"] == 2
 
 

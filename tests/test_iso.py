@@ -4,11 +4,11 @@ from fractions import Fraction as F
 import pytest
 
 from tpa.algebra import AlgebraPair, StructureConstants
-from tpa.catalog import instantiate
-from tpa.iso import FINGERPRINT_FIELDS, distinguish, fingerprint, verify_witness
+from tpa.catalog import instantiate, known_isomorphisms, t_series_samples
+from tpa.iso import catalog_fingerprint, distinguish, fingerprint, verify_witness
 from tpa.linalg import DimensionMismatch, identity, inv
 from tpa.scalars import QQ
-from tpa.verify import SEPARATION_EXCEPTIONS, separation_audit
+from tpa.verify import SEPARATION_EXCEPTIONS, rigidity_audit, separation_audit
 
 
 def test_identity_witness():
@@ -53,7 +53,7 @@ def test_t10_t11_never_isomorphic_by_random_matrices():
 
 
 def test_fingerprint_t20():
-    fp = dict(zip(FINGERPRINT_FIELDS, fingerprint(instantiate("T20"))))
+    fp = fingerprint(instantiate("T20"))._asdict()
     assert fp["dim_sq"] == 3
     assert fp["dim_br"] == 0
     assert fp["has_unit"] == 1
@@ -61,7 +61,7 @@ def test_fingerprint_t20():
 
 
 def test_fingerprint_t01():
-    fp = dict(zip(FINGERPRINT_FIELDS, fingerprint(instantiate("T01"))))
+    fp = fingerprint(instantiate("T01"))._asdict()
     assert fp["dim_br"] == 3
     assert fp["dim_sq"] == 0
     assert fp["dim_der_pair"] == 3
@@ -70,7 +70,7 @@ def test_fingerprint_t01():
 
 def test_fingerprint_zero_pair():
     zero = AlgebraPair(StructureConstants.zero(3), StructureConstants.zero(3))
-    fp = dict(zip(FINGERPRINT_FIELDS, fingerprint(zero)))
+    fp = fingerprint(zero)._asdict()
     assert fp["dim_sq"] == fp["dim_br"] == fp["dim_span"] == fp["dim_cube"] == 0
     assert fp["dim_der_mul"] == fp["dim_der_br"] == fp["dim_der_pair"] == 9
     assert fp["dim_ann"] == fp["dim_center"] == 3
@@ -82,8 +82,8 @@ def test_distinguish_t02_t03():
     b = instantiate("T03", [F(1)])
     assert distinguish(a, b) == "proved_noniso"
     # the separating component is the product annihilator: 2 vs 1
-    fa = dict(zip(FINGERPRINT_FIELDS, fingerprint(a)))
-    fb = dict(zip(FINGERPRINT_FIELDS, fingerprint(b)))
+    fa = fingerprint(a)._asdict()
+    fb = fingerprint(b)._asdict()
     assert fa["dim_ann"] == 2 and fb["dim_ann"] == 1
 
 
@@ -107,3 +107,29 @@ def test_t11_t12_blind_spot_is_real():
     b = instantiate("T12", [F(0)])
     assert fingerprint(a) == fingerprint(b)
     assert distinguish(a, b) == "unknown"
+
+
+def test_catalog_fingerprint_is_fingerprint_of_instance():
+    keys = [(tid, params) for tid, params, _ in t_series_samples()]
+    for w in known_isomorphisms():
+        keys += [w.source, w.target]
+    assert len(keys) == 70 + 2 * 76
+    for tid, params in keys:
+        assert catalog_fingerprint(tid, params) == fingerprint(instantiate(tid, params))
+
+
+def test_catalog_fingerprint_keys_by_value():
+    catalog_fingerprint.cache_clear()
+    assert catalog_fingerprint("T03", (2,)) == catalog_fingerprint("T03", (F(2),))
+    info = catalog_fingerprint.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def test_audits_share_fingerprints():
+    # every rigidity-audit pair is a sampled T-series member, so after the
+    # separation audit it costs no new fingerprint
+    catalog_fingerprint.cache_clear()
+    separation_audit()
+    misses = catalog_fingerprint.cache_info().misses
+    rigidity_audit([])
+    assert catalog_fingerprint.cache_info().misses == misses
