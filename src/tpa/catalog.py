@@ -382,17 +382,10 @@ class IsoWitness:
     source: tuple  # (id, params)
     target: tuple  # (id, params)
     matrix: tuple  # rows
-    note: str = None
 
 
-def _cols(*columns):
-    """Matrix from column vectors."""
-    n = len(columns[0])
-    return tuple(tuple(columns[c][r] for c in range(len(columns))) for r in range(n))
-
-
-def _w(name, source, target, cols, note=None):
-    return IsoWitness(name, source, target, _cols(*cols), note)
+def _w(name, source, target, cols):
+    return IsoWitness(name, source, target, tuple(zip(*cols)))
 
 
 def _t03_sign(b):
@@ -429,8 +422,7 @@ def _d01_to_t17(a):
 def _da02_zero_to_t05(b):
     # table prints E3 = -b^2 e3; the verifying change needs +b^2 e3
     m = [(0, -b, 0), (1, 0, 0), (0, 0, b * b)]
-    return _w("A02-family ~ T05", ("DA02", (F(0), b)), ("T05", ()), m,
-              note="third basis vector sign corrected to +b^2 e3")
+    return _w("A02-family ~ T05", ("DA02", (F(0), b)), ("T05", ()), m)
 
 
 def _da02_to_t12(a, b):

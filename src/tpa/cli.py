@@ -233,8 +233,6 @@ def cmd_degenerate(args):
 
 
 def cmd_catalog(args):
-    if args.action != "dump":
-        raise CliError(f"unknown catalog action {args.action!r}")
     entries = []
     for cid in sorted(CATALOG):
         e = CATALOG[cid]
@@ -262,13 +260,11 @@ def cmd_verify_paper(args):
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_algebra_source(p, with_id=True,
-                        params=("alpha", "beta", "gamma", "delta", "epsilon"), rename=None):
+def _add_algebra_source(p, params=("alpha", "beta", "gamma", "delta", "epsilon"), rename=None):
     """The --id/--lie/--input options and one option per family parameter
     name; ``rename`` maps a parameter to another option where the command
     uses its name for something else."""
-    if with_id:
-        p.add_argument("--id", help="catalog id (e.g. T05, g2, A04)")
+    p.add_argument("--id", help="catalog id (e.g. T05, g2, A04)")
     p.add_argument("--lie", help="catalog id of a Lie algebra (e.g. g2)")
     p.add_argument("--input", help="path to an algebra JSON file ('-' for stdin)")
     for name in params:
@@ -324,7 +320,7 @@ def build_parser():
                    help="print the derivation basis and each derived bracket")
     p.add_argument("--feasible", action="store_true",
                    help="solve for a derivation reproducing the bracket")
-    _add_algebra_source(p, with_id=True)
+    _add_algebra_source(p)
     p.set_defaults(func=cmd_dspecial)
 
     p = sub.add_parser("degenerate", help="verify degeneration table rows")

@@ -47,27 +47,24 @@ class UnknownRow(ValueError):
 class DegenerationInstance:
     row: int
     name: str
-    source: tuple          # (id, params as Q(t) strings)
-    target: tuple          # (id, params as rational strings)
-    g_columns: tuple       # 3 columns of Q(t) strings
+    source: tuple          # catalog key (id, params in Q(t))
+    target: tuple          # catalog key (id, params in Q)
+    g_columns: tuple       # 3 columns of Q(t) values
     post_witness: tuple = None
     note: str = None
 
     def source_pair(self):
-        params = [QQ_T.parse(p) for p in self.source[1]]
-        return instantiate(self.source[0], params, field=QQ_T)
+        return instantiate(*self.source, field=QQ_T)
 
     def target_pair(self):
-        params = [QQ.parse(p) for p in self.target[1]]
-        return instantiate(self.target[0], params)
+        return instantiate(*self.target)
 
     def g_matrix(self):
-        cols = [[QQ_T.parse(v) for v in col] for col in self.g_columns]
-        return [[cols[c][r] for c in range(3)] for r in range(3)]
+        return linalg.transpose(self.g_columns)
 
     def is_family(self):
         """Whether a source parameter depends on t."""
-        return any(not QQ_T.parse(p).is_constant() for p in self.source[1])
+        return any(not p.is_constant() for p in self.source[1])
 
     def t_samples(self):
         """Rational parameter values of the source along the curve, used to
@@ -75,16 +72,12 @@ class DegenerationInstance:
         out = []
         for t0 in (Fraction(1, 2), Fraction(2), Fraction(3)):
             params = []
-            ok = True
             for p in self.source[1]:
-                r = QQ_T.parse(p)
-                num = sum(c * t0 ** e for e, c in enumerate(r.num))
-                den = sum(c * t0 ** e for e, c in enumerate(r.den))
+                den = sum(c * t0 ** e for e, c in enumerate(p.den))
                 if den == 0:
-                    ok = False
                     break
-                params.append(num / den)
-            if ok:
+                params.append(sum(c * t0 ** e for e, c in enumerate(p.num)) / den)
+            else:
                 out.append(tuple(params))
         return out
 
@@ -94,8 +87,8 @@ class DegenerationReport:
     row: int
     name: str
     instance: int
-    source: tuple                   # the instance's (id, params as Q(t) strings)
-    target: tuple                   # the instance's (id, params as rational strings)
+    source: tuple                   # the instance's catalog key, params in Q(t)
+    target: tuple                   # the instance's catalog key, params in Q
     matched: str                    # "exact" | "via_post_witness" | "failed" | "diverges"
     family_source: bool
     limit: dict = None
@@ -120,16 +113,20 @@ def load_rows():
 
 
 def _rows_from_data(data):
+    """The one place where table text becomes values: each scalar is
+    parsed once, and the instances hold exact catalog keys."""
     rows = []
     for doc in data["rows"]:
         fam = doc["family"]
+        src, tgt = fam["source"], fam["target"]
         inst = DegenerationInstance(
             row=fam["row"],
             name=fam["name"],
-            source=(fam["source"]["id"], tuple(fam["source"]["params"])),
-            target=(fam["target"]["id"], tuple(fam["target"]["params"])),
-            g_columns=tuple(tuple(col) for col in fam["g"]),
-            post_witness=tuple(map(tuple, fam["post_witness"])) if fam.get("post_witness") else None,
+            source=(src["id"], tuple(map(QQ_T.parse, src["params"]))),
+            target=(tgt["id"], tuple(map(QQ.parse, tgt["params"]))),
+            g_columns=tuple(tuple(map(QQ_T.parse, col)) for col in fam["g"]),
+            post_witness=(tuple(map(tuple, matrix_from_json(fam["post_witness"])))
+                          if fam.get("post_witness") else None),
             note=fam.get("note"),
         )
         embedded = pair_from_json({k: doc[k] for k in ("dim", "mul", "bracket")}, field=QQ_T)
@@ -161,20 +158,18 @@ def verify_instance(inst, index=0):
     report.limit = pair_to_json(lim)
     if pairs_equal(lim, target):
         report.matched = "exact"
-    elif inst.post_witness is not None and verify_witness(
-            lim, target, matrix_from_json(inst.post_witness)):
+    elif inst.post_witness is not None and verify_witness(lim, target, inst.post_witness):
         report.matched = "via_post_witness"
     if report.verified:
         samples = inst.t_samples()
         if not samples:
             raise ValueError(f"row {inst.row}: no rational sample of the source parameters")
-        tgt = catalog_fingerprint(inst.target[0], tuple(map(QQ.parse, inst.target[1])))
+        tgt = catalog_fingerprint(*inst.target)
         srcs = [catalog_fingerprint(inst.source[0], p) for p in samples]
         report.der_dims = {"source_at_samples": [s.dim_der_pair for s in srcs],
                            "target": tgt.dim_der_pair}
         per_sample = [necessary_checks(s, tgt, report.family_source) for s in srcs]
-        report.checks = {k: all(c[k] for c in per_sample)
-                         for k in per_sample[0] if k != "der_dims"}
+        report.checks = {k: all(c[k] for c in per_sample) for k in per_sample[0]}
     return report
 
 
@@ -210,7 +205,6 @@ def necessary_checks(source, target, family_source=False):
     zero component must stay zero."""
     ds, dt = source.dim_der_pair, target.dim_der_pair
     report = {
-        "der_dims": (ds, dt),
         "der_dim_ok": ds <= dt if family_source else ds < dt,
         "mul_span_nonincreasing": source.dim_sq >= target.dim_sq,
         "bracket_span_nonincreasing": source.dim_br >= target.dim_br,
@@ -218,7 +212,7 @@ def necessary_checks(source, target, family_source=False):
         "mul_zero_component": not (source.dim_sq == 0 and target.dim_sq),
         "bracket_zero_component": not (source.dim_br == 0 and target.dim_br),
     }
-    report["ok"] = all(v for k, v in report.items() if k != "der_dims")
+    report["ok"] = all(report.values())
     return report
 
 

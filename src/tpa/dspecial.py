@@ -93,20 +93,15 @@ def is_strong_d_special(pair):
 # general derivation of its commutative algebra, signed so that the
 # derived bracket lands on the catalog normal form.
 
-def _m(*cols):
-    n = len(cols[0])
-    return [[cols[c][r] for c in range(len(cols))] for r in range(n)]
-
-
 DERIVATION_FAMILIES = {
     # bracket family id -> (commutative id, derivation matrix builder)
-    "D01": ("A02", lambda a: _m((0, 0, 0), (0, 0, 0), (0, 0, -a))),
-    "DA02": ("A04", lambda a, b: _m((0, 0, 0), (0, -a, -b), (0, 0, -2 * a))),
-    "DA03": ("A05", lambda a, b, g, d: _m((0, 0, 0), (0, -a, -b), (0, -g, -d))),
-    "D06b": ("A06", lambda a: _m((0, 0, 0), (0, -a, 0), (0, 0, 0))),
-    "D07": ("A09", lambda a: _m((-a, 0, 0), (0, -2 * a, 0), (0, 0, -3 * a))),
-    "D08": ("A10", lambda e: _m((e, 0, 0), (0, 0, 0), (0, 0, e))),
-    "D2_01": ("A2_02", lambda a: _m((0, 0), (0, -a))),
+    "D01": ("A02", lambda a: linalg.transpose(((0, 0, 0), (0, 0, 0), (0, 0, -a)))),
+    "DA02": ("A04", lambda a, b: linalg.transpose(((0, 0, 0), (0, -a, -b), (0, 0, -2 * a)))),
+    "DA03": ("A05", lambda a, b, g, d: linalg.transpose(((0, 0, 0), (0, -a, -b), (0, -g, -d)))),
+    "D06b": ("A06", lambda a: linalg.transpose(((0, 0, 0), (0, -a, 0), (0, 0, 0)))),
+    "D07": ("A09", lambda a: linalg.transpose(((-a, 0, 0), (0, -2 * a, 0), (0, 0, -3 * a)))),
+    "D08": ("A10", lambda e: linalg.transpose(((e, 0, 0), (0, 0, 0), (0, 0, e)))),
+    "D2_01": ("A2_02", lambda a: linalg.transpose(((0, 0), (0, -a)))),
 }
 
 

@@ -268,8 +268,7 @@ def claim_witnesses():
     for w in witnesses:
         a = instantiate(*w.source)
         b = instantiate(*w.target)
-        m = [list(r) for r in w.matrix]
-        if not verify_witness(a, b, m):
+        if not verify_witness(a, b, w.matrix):
             failures.append({"name": w.name,
                              "source": [w.source[0], [str(p) for p in w.source[1]]],
                              "target": [w.target[0], [str(p) for p in w.target[1]]]})
@@ -425,8 +424,7 @@ def rigidity_audit(reports):
         for mid, mparams, minv in members:
             if sid == mid:
                 continue
-            key = (mid, tuple(str(p) for p in mparams))
-            if key in verified_targets:
+            if (mid, mparams) in verified_targets:
                 table_hits.append({"source": sid, "member": mid})
                 continue
             checks = degeneration.necessary_checks(sinv, minv)

@@ -16,7 +16,10 @@ from tpa.degeneration import (
     witness_errata,
 )
 from tpa.iso import fingerprint
+from tpa.scalars import QQ_T, RatFunc, T
 from tpa.verify import RIGIDITY_OPEN_LIST, rigidity_audit
+
+ZERO, ONE = QQ_T.zero, QQ_T.one
 
 #: joint derivation dimensions, frozen from independent hand elimination
 DER_DIMS = {
@@ -42,6 +45,29 @@ def test_all_rows_verify():
         assert r.verified, (r.row, r.instance, r.matched)
         assert r.checks["ok"], (r.row, r.instance, r.checks)
     assert sorted({r.row for r in reports}) == list(range(1, 18))
+
+
+def test_loaded_rows_hold_exact_values():
+    # the loader parses each scalar once: rows carry catalog keys, not text
+    for inst in load_rows():
+        assert all(type(p) is RatFunc for p in inst.source[1]), inst.name
+        assert all(type(v) is RatFunc for col in inst.g_columns for v in col), inst.name
+        assert all(type(p) in (int, F) for p in inst.target[1]), inst.name
+
+
+def test_target_params_parsed_to_values():
+    import json
+    from importlib import resources
+
+    from tpa.degeneration import _rows_from_data
+
+    data = json.loads(
+        resources.files("tpa.data").joinpath("degenerations.json").read_text()
+    )
+    doc = json.loads(json.dumps(next(d for d in data["rows"] if d["family"]["row"] == 2)))
+    doc["family"]["target"]["params"] = ["6/2"]
+    (inst,) = _rows_from_data({"rows": [doc]})
+    assert inst.target == ("T03", (3,))
 
 
 def test_row_numbers():
@@ -95,9 +121,9 @@ def test_post_witness_machinery():
     # a deliberately sign-flipped target exercises the post-witness path
     inst = DegenerationInstance(
         row=99, name="sign-flip probe",
-        source=("T09", ("3", "t")), target=("T11", ("3",)),
-        g_columns=(("1", "0", "0"), ("0", "1", "0"), ("t^-1", "0", "1")),
-        post_witness=(("-1", "0", "0"), ("0", "-1", "0"), ("0", "0", "1")),
+        source=("T09", (RatFunc(3), T)), target=("T11", (3,)),
+        g_columns=((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (1 / T, ZERO, ONE)),
+        post_witness=((-1, 0, 0), (0, -1, 0), (0, 0, 1)),
     )
     rep = verify_instance(inst)
     assert rep.matched == "via_post_witness"
@@ -109,8 +135,8 @@ def test_missing_post_witness_fails():
     # stands in for the missing witness, so the row must fail loudly
     inst = DegenerationInstance(
         row=99, name="sign-flip probe",
-        source=("T09", ("3", "t")), target=("T11", ("3",)),
-        g_columns=(("1", "0", "0"), ("0", "1", "0"), ("t^-1", "0", "1")),
+        source=("T09", (RatFunc(3), T)), target=("T11", (3,)),
+        g_columns=((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (1 / T, ZERO, ONE)),
     )
     rep = verify_instance(inst)
     assert rep.matched == "failed"
@@ -121,7 +147,7 @@ def test_singular_family_rejected():
     inst = DegenerationInstance(
         row=98, name="singular probe",
         source=("T05", ()), target=("T02", ()),
-        g_columns=(("t", "0", "0"), ("t", "0", "0"), ("0", "0", "1")),
+        g_columns=((T, ZERO, ZERO), (T, ZERO, ZERO), (ZERO, ZERO, ONE)),
     )
     with pytest.raises(SingularFamily):
         verify_instance(inst)
@@ -131,8 +157,8 @@ def test_diverging_row_reported():
     # the alpha = t reading of the T09 row has a pole in the limit
     inst = DegenerationInstance(
         row=97, name="divergence probe",
-        source=("T09", ("t", "1")), target=("T11", ("0",)),
-        g_columns=(("1", "0", "0"), ("0", "1", "0"), ("-t^-1", "0", "1")),
+        source=("T09", (T, ONE)), target=("T11", (0,)),
+        g_columns=((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (-1 / T, ZERO, ONE)),
     )
     rep = verify_instance(inst)
     assert rep.matched == "diverges"
@@ -173,7 +199,7 @@ def test_necessary_checks_weak_for_families():
 def test_row_checks_are_necessary_checks():
     # a row's checks are the necessary_checks keys, AND-ed over its samples
     t05, t02 = fingerprint(instantiate("T05")), fingerprint(instantiate("T02"))
-    keys = set(necessary_checks(t05, t02)) - {"der_dims"}
+    keys = set(necessary_checks(t05, t02))
     for r in verify_all():
         assert set(r.checks) == keys, (r.row, r.instance)
 
@@ -227,6 +253,17 @@ def test_rigidity_audit_within_open_list():
     assert audit["within_open_list"]
     pairs = {(o["source"][0], o["member"][0]) for o in audit["open_list"]}
     assert pairs <= RIGIDITY_OPEN_LIST
+
+
+def test_rigidity_audit_matches_targets_by_value():
+    # a verified row reaching the T09 member written as 6/2 is a table hit
+    from tpa.degeneration import DegenerationReport
+
+    rep = DegenerationReport(row=96, name="value probe", instance=0, source=("T05", ()),
+                             target=("T09", (F(6, 2), 1)), matched="exact",
+                             family_source=False)
+    hits = rigidity_audit([rep])["table_reaches_component_member"]
+    assert {"source": "T05", "member": "T09"} in hits
 
 
 def test_loaded_rows_have_notes_where_corrected():
