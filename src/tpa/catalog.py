@@ -1,16 +1,20 @@
 """Generators for every named algebra in the classification tables.
 
-Multiplication tables list each unordered product once; the builders
-symmetrize commutative products and antisymmetrize brackets.  Parameters
-are exact scalars (rationals normally, rational functions in t when a
-degeneration row substitutes a curve into a family parameter).
+Each entry is declared once, in ``CATALOG``: its id, kind, dimension and
+table, with its parameter names, sample pool and alternative name where
+it has them.  A table maps the parameters to (product rows, second rows),
+1-based (i, j, k, coeff) items.  Tables list each unordered product once;
+``instantiate`` symmetrizes the product and antisymmetrizes the bracket.
+Parameters are exact scalars (rationals normally, rational functions in t
+when a degeneration row substitutes a curve into a family parameter).
 
 Entry kinds:
   tp    transposed Poisson pair (product + bracket)
   lie   Lie algebra (zero product)
   comm  commutative associative algebra (zero bracket)
-  np    commutative product paired with a Novikov product (the second
-        component is NOT a bracket; only its commutator is used)
+  np    commutative product paired with a Novikov product: the second
+        component is NOT a bracket, its rows are ordered and kept as
+        written (only its commutator is used)
 """
 
 from __future__ import annotations
@@ -38,43 +42,30 @@ class CatalogEntry:
     id: str
     kind: str
     dim: int
-    param_names: tuple
-    param_domain: str
-    table: object  # params -> {"mul": [...], "bracket": [...]} (1-based rows)
-    admissible: object
-    samples: tuple  # deterministic pool, special values first
+    table: object  # params -> (product rows, second rows)
+    param_names: tuple = ()
+    samples: tuple = ((),)  # deterministic pool, special values first
     alt_name: str = None
+    last_nonzero: bool = False  # admissible iff the last parameter is nonzero
 
 
-def _always(_params):
-    return True
+# -- Lie brackets ------------------------------------------------------------
 
-
-def _entry(id, kind, dim, table, params=(), domain="", admissible=_always,
-           samples=((),), alt_name=None):
-    return CatalogEntry(id, kind, dim, tuple(params), domain, table, admissible,
-                        tuple(samples), alt_name)
-
-
-# -- Lie algebras ------------------------------------------------------------
-
-def _h():
-    return {"bracket": [(1, 2, 3, 1)]}
-
-
-def _g1():
-    return {"bracket": [(1, 3, 1, 1), (2, 3, 2, 1)]}
+_H = [(1, 2, 3, 1)]
+_G1 = [(1, 3, 1, 1), (2, 3, 2, 1)]
+_SL2 = [(1, 2, 3, 1), (1, 3, 2, -1), (2, 3, 1, 1)]
 
 
 def _g2(a):
-    return {"bracket": [(1, 3, 1, 1), (1, 3, 2, 1), (2, 3, 2, a)]}
+    return [(1, 3, 1, 1), (1, 3, 2, 1), (2, 3, 2, a)]
 
 
-def _sl2():
-    return {"bracket": [(1, 2, 3, 1), (1, 3, 2, -1), (2, 3, 1, 1)]}
+def _scaling(b):
+    # e_i.e_3 = b e_i (i = 1, 2), e_3.e_3 = b e_3
+    return [(1, 3, 1, b), (2, 3, 2, b), (3, 3, 3, b)]
 
 
-# -- 3-dimensional commutative associative algebras --------------------------
+# -- commutative associative algebras, 3- and 2-dimensional -------------------
 
 _COMM3 = {
     "A01": [(1, 1, 1, 1), (2, 2, 2, 1), (3, 3, 3, 1)],
@@ -90,8 +81,6 @@ _COMM3 = {
     "A11": [(1, 1, 2, 1)],
 }
 
-# -- 2-dimensional commutative associative algebras --------------------------
-
 _COMM2 = {
     "A2_01": [(1, 1, 1, 1), (2, 2, 2, 1)],
     "A2_02": [(1, 1, 1, 1), (1, 2, 2, 1)],
@@ -100,210 +89,112 @@ _COMM2 = {
 }
 
 
-# -- transposed Poisson pairs (the T-series) ---------------------------------
-
-def _t_tables():
-    def mul_scaling(b):
-        # e_i.e_3 = b e_i (i = 1, 2), e_3.e_3 = b e_3
-        return [(1, 3, 1, b), (2, 3, 2, b), (3, 3, 3, b)]
-
-    return {
-        "T01": lambda: {"bracket": _sl2()["bracket"]},
-        "T02": lambda: {"mul": [(2, 2, 3, 1)], "bracket": _h()["bracket"]},
-        "T03": lambda b: {"mul": [(1, 2, 3, b)], "bracket": _h()["bracket"]},
-        "T04": lambda b: {"mul": [(1, 2, 3, b), (2, 2, 1, 1)], "bracket": _h()["bracket"]},
-        "T05": lambda: {
-            "mul": [(1, 1, 3, 1), (1, 2, 1, 1), (2, 2, 2, 1), (2, 3, 3, 1)],
-            "bracket": _h()["bracket"],
-        },
-        "T06": lambda: {
-            "mul": [(1, 2, 1, 1), (2, 2, 2, 1), (2, 3, 3, 1)],
-            "bracket": _h()["bracket"],
-        },
-        "T07": lambda b: {"mul": mul_scaling(b), "bracket": _g1()["bracket"]},
-        "T08": lambda: {"mul": [(3, 3, 1, 1)], "bracket": _g1()["bracket"]},
-        "T09": lambda a, b: {"mul": mul_scaling(b), "bracket": _g2(a)["bracket"]},
-        "T10": lambda a: {"mul": [(3, 3, 2, 1)], "bracket": _g2(a)["bracket"]},
-        "T11": lambda a: {"mul": [(3, 3, 1, 1)], "bracket": _g2(a)["bracket"]},
-        # intermediate normal form from the g2 case analysis:
-        # e_3.e_3 = (1-a) e_1 + e_2, isomorphic to T10^{1/a}
-        "T10s": lambda a: {
-            "mul": [(3, 3, 1, 1 - a), (3, 3, 2, 1)],
-            "bracket": _g2(a)["bracket"],
-        },
-        "T12": lambda b: {"mul": [(1, 1, 2, 1)] + mul_scaling(b), "bracket": _g2(2)["bracket"]},
-        "T13": lambda: {"mul": [(1, 1, 2, 1), (3, 3, 2, 1)], "bracket": _g2(2)["bracket"]},
-        "T14": lambda: {"mul": [(1, 3, 2, 1), (3, 3, 1, 1)], "bracket": _g2(2)["bracket"]},
-        "T15": lambda: {"mul": [(1, 3, 2, 1)], "bracket": _g2(2)["bracket"]},
-        "T16": lambda: {"mul": [(3, 3, 1, 1), (3, 3, 2, 1)], "bracket": _g2(0)["bracket"]},
-        "T17": lambda b: {
-            "mul": [(1, 1, 2, 1), (1, 2, 2, -1), (2, 2, 2, 1)] + mul_scaling(b),
-            "bracket": _g2(0)["bracket"],
-        },
-        "T18": lambda: {
-            "mul": [(1, 1, 2, 1), (1, 2, 2, -1), (2, 2, 2, 1), (3, 3, 1, 1), (3, 3, 2, 1)],
-            "bracket": _g2(0)["bracket"],
-        },
-        "T19": lambda g: {
-            "mul": [(1, 3, 1, g), (1, 3, 2, g), (3, 3, 3, g)],
-            "bracket": _g2(0)["bracket"],
-        },
-    }
-
-
 # -- derivation-built families (strong D-special list) ------------------------
 #
 # Each family is a commutative catalog algebra together with the bracket
 # induced by its general derivation; the D-series of the classification is
 # the normalized list, the DA-series keep the full parameter space.
 
-def _d01(a):
-    return {"mul": _COMM3["A02"], "bracket": [(1, 3, 3, a)]}
-
-
 def _da02(a, b):
-    return {"mul": _COMM3["A04"], "bracket": [(1, 2, 2, a), (1, 2, 3, b), (1, 3, 3, 2 * a)]}
+    return _COMM3["A04"], [(1, 2, 2, a), (1, 2, 3, b), (1, 3, 3, 2 * a)]
 
 
 def _da03(a, b, g, d):
-    return {"mul": _COMM3["A05"], "bracket": [(1, 2, 2, a), (1, 2, 3, b), (1, 3, 2, g), (1, 3, 3, d)]}
+    return _COMM3["A05"], [(1, 2, 2, a), (1, 2, 3, b), (1, 3, 2, g), (1, 3, 3, d)]
 
 
-def _d06b(a):
-    return {"mul": _COMM3["A06"], "bracket": [(1, 2, 2, a)]}
+_BETA = ((F(0),), (F(1),), (F(2),), (F(-1),))
+_G2_ALPHA = ((F(0),), (F(1, 2),), (F(2),), (F(1),), (F(-1),), (F(3),))
+_ONE_PARAM = ((F(1),), (F(2),), (F(-1),), (F(1, 2),))
 
+CATALOG = {e.id: e for e in (
+    CatalogEntry("h", "lie", 3, lambda: ((), _H)),
+    CatalogEntry("g1", "lie", 3, lambda: ((), _G1)),
+    CatalogEntry("g2", "lie", 3, lambda a: ((), _g2(a)), ("alpha",),
+                 ((F(0),), (F(1, 2),), (F(2),), (F(1),), (F(-1),), (F(3),), (F(5),),
+                  (F(-2),), (F(-1, 2),))),
+    CatalogEntry("sl2", "lie", 3, lambda: ((), _SL2)),
 
-def _d07(a):
-    return {"mul": _COMM3["A09"], "bracket": [(1, 2, 3, a)]}
-
-
-def _d08(e):
-    return {"mul": _COMM3["A10"], "bracket": [(1, 2, 3, e)]}
-
-
-# -- 2-dimensional transposed Poisson / Novikov data --------------------------
-
-def _n01():
-    return {"mul": [(1, 1, 2, 1)], "bracket": [(1, 2, 2, 1)]}
-
-
-def _n02():
-    return {"mul": [(1, 2, 1, 1), (2, 2, 2, 1)], "bracket": [(1, 2, 2, 1)]}
-
-
-def _np01():
-    # second component: the Novikov product, ordered entries, no symmetrization
-    return {"mul": [(2, 2, 1, 1)], "second": [(2, 1, 1, -1)]}
-
-
-def _np02(a, b, g):
-    return {
-        "mul": [(1, 2, 1, 1), (2, 2, 2, 1)],
-        "second": [(1, 2, 1, a), (2, 1, 1, b), (2, 2, 1, g), (2, 2, 2, a)],
-    }
-
-
-def _d2_01(a):
-    return {"mul": _COMM2["A2_02"], "bracket": [(1, 2, 2, a)]}
-
-
-def _nonzero_last(params):
-    return bool(params[-1])
-
-
-CATALOG = {}
-
-
-def _register(entry):
-    CATALOG[entry.id] = entry
-
-
-def _init_catalog():
-    _register(_entry("h", "lie", 3, lambda: _h()))
-    _register(_entry("g1", "lie", 3, lambda: _g1()))
-    _register(_entry("g2", "lie", 3, _g2, params=("alpha",),
-                     samples=[(F(0),), (F(1, 2),), (F(2),), (F(1),), (F(-1),),
-                              (F(3),), (F(5),), (F(-2),), (F(-1, 2),)]))
-    _register(_entry("sl2", "lie", 3, lambda: _sl2()))
-
-    t = _t_tables()
-    for tid in ("T01", "T02", "T05", "T06", "T08", "T13", "T14", "T15", "T16", "T18"):
-        _register(_entry(tid, "tp", 3, t[tid]))
-    beta_pool = [(F(0),), (F(1),), (F(2),), (F(-1),), (F(4),), (F(-3),)]
-    _register(_entry("T03", "tp", 3, t["T03"], params=("beta",), samples=beta_pool))
-    _register(_entry("T04", "tp", 3, t["T04"], params=("beta",),
-                     samples=[(F(0),), (F(1),), (F(4),), (F(-1),), (F(1, 4),)]))
-    _register(_entry("T07", "tp", 3, t["T07"], params=("beta",),
-                     samples=[(F(0),), (F(1),), (F(2),), (F(-1),)]))
-    _register(_entry("T09", "tp", 3, t["T09"], params=("alpha", "beta"),
-                     samples=[(F(2), F(1)), (F(1, 2), F(1, 2)), (F(0), F(1)),
-                              (F(1), F(2)), (F(-1), F(1)), (F(3), F(1)),
-                              (F(2), F(0)), (F(0), F(0)), (F(3), F(-2)), (F(5), F(2))]))
-    g2_alpha_pool = [(F(0),), (F(1, 2),), (F(2),), (F(1),), (F(-1),), (F(3),)]
-    _register(_entry("T10", "tp", 3, t["T10"], params=("alpha",), samples=g2_alpha_pool))
-    _register(_entry("T11", "tp", 3, t["T11"], params=("alpha",), samples=g2_alpha_pool))
-    _register(_entry("T10s", "tp", 3, t["T10s"], params=("alpha",),
-                     samples=[(F(2),), (F(3),), (F(-1),), (F(1, 2),), (F(1),)]))
-    _register(_entry("T12", "tp", 3, t["T12"], params=("beta",),
-                     samples=[(F(0),), (F(1),), (F(2),), (F(-1),)]))
-    _register(_entry("T17", "tp", 3, t["T17"], params=("beta",),
-                     samples=[(F(0),), (F(1),), (F(2),), (F(-1),)]))
-    _register(_entry("T19", "tp", 3, t["T19"], params=("gamma",),
-                     domain="gamma != 0", admissible=_nonzero_last,
-                     samples=[(F(1),), (F(2),), (F(-1),), (F(1, 2),)]))
-
+    # -- transposed Poisson pairs (the T-series) --
+    CatalogEntry("T01", "tp", 3, lambda: ((), _SL2)),
+    CatalogEntry("T02", "tp", 3, lambda: ([(2, 2, 3, 1)], _H)),
+    CatalogEntry("T05", "tp", 3, lambda: (
+        [(1, 1, 3, 1), (1, 2, 1, 1), (2, 2, 2, 1), (2, 3, 3, 1)], _H)),
+    CatalogEntry("T06", "tp", 3, lambda: ([(1, 2, 1, 1), (2, 2, 2, 1), (2, 3, 3, 1)], _H)),
+    CatalogEntry("T08", "tp", 3, lambda: ([(3, 3, 1, 1)], _G1)),
+    CatalogEntry("T13", "tp", 3, lambda: ([(1, 1, 2, 1), (3, 3, 2, 1)], _g2(2))),
+    CatalogEntry("T14", "tp", 3, lambda: ([(1, 3, 2, 1), (3, 3, 1, 1)], _g2(2))),
+    CatalogEntry("T15", "tp", 3, lambda: ([(1, 3, 2, 1)], _g2(2))),
+    CatalogEntry("T16", "tp", 3, lambda: ([(3, 3, 1, 1), (3, 3, 2, 1)], _g2(0))),
+    CatalogEntry("T18", "tp", 3, lambda: (
+        [(1, 1, 2, 1), (1, 2, 2, -1), (2, 2, 2, 1), (3, 3, 1, 1), (3, 3, 2, 1)], _g2(0))),
+    CatalogEntry("T03", "tp", 3, lambda b: ([(1, 2, 3, b)], _H), ("beta",),
+                 ((F(0),), (F(1),), (F(2),), (F(-1),), (F(4),), (F(-3),))),
+    CatalogEntry("T04", "tp", 3, lambda b: ([(1, 2, 3, b), (2, 2, 1, 1)], _H), ("beta",),
+                 ((F(0),), (F(1),), (F(4),), (F(-1),), (F(1, 4),))),
+    CatalogEntry("T07", "tp", 3, lambda b: (_scaling(b), _G1), ("beta",), _BETA),
+    CatalogEntry("T09", "tp", 3, lambda a, b: (_scaling(b), _g2(a)), ("alpha", "beta"),
+                 ((F(2), F(1)), (F(1, 2), F(1, 2)), (F(0), F(1)), (F(1), F(2)),
+                  (F(-1), F(1)), (F(3), F(1)), (F(2), F(0)), (F(0), F(0)),
+                  (F(3), F(-2)), (F(5), F(2)))),
+    CatalogEntry("T10", "tp", 3, lambda a: ([(3, 3, 2, 1)], _g2(a)), ("alpha",), _G2_ALPHA),
+    CatalogEntry("T11", "tp", 3, lambda a: ([(3, 3, 1, 1)], _g2(a)), ("alpha",), _G2_ALPHA),
+    # intermediate normal form from the g2 case analysis:
+    # e_3.e_3 = (1-a) e_1 + e_2, isomorphic to T10^{1/a}
+    CatalogEntry("T10s", "tp", 3, lambda a: ([(3, 3, 1, 1 - a), (3, 3, 2, 1)], _g2(a)),
+                 ("alpha",), ((F(2),), (F(3),), (F(-1),), (F(1, 2),), (F(1),))),
+    CatalogEntry("T12", "tp", 3, lambda b: ([(1, 1, 2, 1)] + _scaling(b), _g2(2)),
+                 ("beta",), _BETA),
+    CatalogEntry("T17", "tp", 3, lambda b: (
+        [(1, 1, 2, 1), (1, 2, 2, -1), (2, 2, 2, 1)] + _scaling(b), _g2(0)),
+                 ("beta",), _BETA),
+    CatalogEntry("T19", "tp", 3, lambda g: ([(1, 3, 1, g), (1, 3, 2, g), (3, 3, 3, g)], _g2(0)),
+                 ("gamma",), _ONE_PARAM, last_nonzero=True),
     # T20..T30 are the commutative list with zero bracket
-    for i, aid in enumerate(sorted(_COMM3), start=20):
-        table = (lambda rows: (lambda: {"mul": rows}))(_COMM3[aid])
-        _register(_entry(f"T{i}", "tp", 3, table, alt_name=aid))
-    for aid, rows in _COMM3.items():
-        _register(_entry(aid, "comm", 3, (lambda r: (lambda: {"mul": r}))(rows)))
-    for aid, rows in _COMM2.items():
-        _register(_entry(aid, "comm", 2, (lambda r: (lambda: {"mul": r}))(rows)))
+    *(CatalogEntry(f"T{i}", "tp", 3, lambda rows=rows: (rows, ()), alt_name=aid)
+      for i, (aid, rows) in enumerate(sorted(_COMM3.items()), start=20)),
+    *(CatalogEntry(aid, "comm", 3, lambda rows=rows: (rows, ())) for aid, rows in _COMM3.items()),
+    *(CatalogEntry(aid, "comm", 2, lambda rows=rows: (rows, ())) for aid, rows in _COMM2.items()),
 
-    one_param = [(F(1),), (F(2),), (F(-1),), (F(1, 2),)]
-    _register(_entry("D01", "tp", 3, _d01, params=("alpha",), samples=one_param,
-                     alt_name="A01^a"))
-    _register(_entry("DA02", "tp", 3, _da02, params=("alpha", "beta"),
-                     samples=[(F(0), F(1)), (F(0), F(2)), (F(1), F(0)),
-                              (F(2), F(3)), (F(-1), F(1))],
-                     alt_name="A02^{a,b}"))
-    _register(_entry("D02", "tp", 3, lambda: _da02(F(0), F(1)), alt_name="A02^{0,1}"))
-    _register(_entry("D03", "tp", 3, lambda a: _da02(a, F(0)), params=("alpha",),
-                     domain="alpha != 0", admissible=_nonzero_last,
-                     samples=one_param, alt_name="A02^{a,0}"))
-    _register(_entry("DA03", "tp", 3, _da03,
-                     params=("alpha", "beta", "gamma", "delta"),
-                     samples=[(F(0), F(1), F(0), F(0)), (F(1), F(0), F(0), F(1)),
-                              (F(1), F(0), F(2), F(2))],
-                     alt_name="A03^{a,b,g,d}"))
-    _register(_entry("D04", "tp", 3, lambda: _da03(F(0), F(1), F(0), F(0)),
-                     alt_name="A03^{0,1,0,0}"))
-    _register(_entry("D05", "tp", 3, lambda a: _da03(a, F(0), F(0), a),
-                     params=("alpha",), samples=one_param, alt_name="A03^{a,0,0,a}"))
-    _register(_entry("D06", "tp", 3, lambda a, b: _da03(a, F(0), b, b),
-                     params=("alpha", "beta"),
-                     samples=[(F(1), F(2)), (F(2), F(1)), (F(1), F(0)),
-                              (F(0), F(1)), (F(3), F(3)), (F(2), F(-1))],
-                     alt_name="A03^{a,0,b,b}"))
-    _register(_entry("D06b", "tp", 3, _d06b, params=("alpha",), samples=one_param,
-                     alt_name="A04^a"))
-    _register(_entry("D07", "tp", 3, _d07, params=("alpha",), samples=one_param,
-                     alt_name="A05^a"))
-    _register(_entry("D08", "tp", 3, _d08, params=("epsilon",), samples=one_param,
-                     alt_name="A06^e"))
+    CatalogEntry("D01", "tp", 3, lambda a: (_COMM3["A02"], [(1, 3, 3, a)]), ("alpha",),
+                 _ONE_PARAM, "A01^a"),
+    CatalogEntry("DA02", "tp", 3, _da02, ("alpha", "beta"),
+                 ((F(0), F(1)), (F(0), F(2)), (F(1), F(0)), (F(2), F(3)), (F(-1), F(1))),
+                 "A02^{a,b}"),
+    CatalogEntry("D02", "tp", 3, lambda: _da02(F(0), F(1)), alt_name="A02^{0,1}"),
+    CatalogEntry("D03", "tp", 3, lambda a: _da02(a, F(0)), ("alpha",), _ONE_PARAM,
+                 "A02^{a,0}", last_nonzero=True),
+    CatalogEntry("DA03", "tp", 3, _da03, ("alpha", "beta", "gamma", "delta"),
+                 ((F(0), F(1), F(0), F(0)), (F(1), F(0), F(0), F(1)),
+                  (F(1), F(0), F(2), F(2))),
+                 "A03^{a,b,g,d}"),
+    CatalogEntry("D04", "tp", 3, lambda: _da03(F(0), F(1), F(0), F(0)),
+                 alt_name="A03^{0,1,0,0}"),
+    CatalogEntry("D05", "tp", 3, lambda a: _da03(a, F(0), F(0), a), ("alpha",), _ONE_PARAM,
+                 "A03^{a,0,0,a}"),
+    CatalogEntry("D06", "tp", 3, lambda a, b: _da03(a, F(0), b, b), ("alpha", "beta"),
+                 ((F(1), F(2)), (F(2), F(1)), (F(1), F(0)), (F(0), F(1)), (F(3), F(3)),
+                  (F(2), F(-1))),
+                 "A03^{a,0,b,b}"),
+    CatalogEntry("D06b", "tp", 3, lambda a: (_COMM3["A06"], [(1, 2, 2, a)]), ("alpha",),
+                 _ONE_PARAM, "A04^a"),
+    CatalogEntry("D07", "tp", 3, lambda a: (_COMM3["A09"], [(1, 2, 3, a)]), ("alpha",),
+                 _ONE_PARAM, "A05^a"),
+    CatalogEntry("D08", "tp", 3, lambda e: (_COMM3["A10"], [(1, 2, 3, e)]), ("epsilon",),
+                 _ONE_PARAM, "A06^e"),
 
-    _register(_entry("N01", "tp", 2, _n01))
-    _register(_entry("N02", "tp", 2, _n02))
-    _register(_entry("NP01", "np", 2, _np01))
-    _register(_entry("NP02", "np", 2, _np02, params=("alpha", "beta", "gamma"),
-                     samples=[(F(1), F(2), F(1)), (F(2), F(0), F(3)),
-                              (F(0), F(1), F(-1)), (F(3), F(3), F(2)),
-                              (F(-1), F(2), F(0))]))
-    _register(_entry("D2_01", "tp", 2, _d2_01, params=("alpha",), samples=one_param))
-
-
-_init_catalog()
+    # -- 2-dimensional transposed Poisson / Novikov data --
+    CatalogEntry("N01", "tp", 2, lambda: ([(1, 1, 2, 1)], [(1, 2, 2, 1)])),
+    CatalogEntry("N02", "tp", 2, lambda: ([(1, 2, 1, 1), (2, 2, 2, 1)], [(1, 2, 2, 1)])),
+    CatalogEntry("NP01", "np", 2, lambda: ([(2, 2, 1, 1)], [(2, 1, 1, -1)])),
+    CatalogEntry("NP02", "np", 2, lambda a, b, g: (
+        [(1, 2, 1, 1), (2, 2, 2, 1)], [(1, 2, 1, a), (2, 1, 1, b), (2, 2, 1, g), (2, 2, 2, a)]),
+                 ("alpha", "beta", "gamma"),
+                 ((F(1), F(2), F(1)), (F(2), F(0), F(3)), (F(0), F(1), F(-1)),
+                  (F(3), F(3), F(2)), (F(-1), F(2), F(0)))),
+    CatalogEntry("D2_01", "tp", 2, lambda a: (_COMM2["A2_02"], [(1, 2, 2, a)]), ("alpha",),
+                 _ONE_PARAM),
+)}
 
 T_SERIES_IDS = tuple(f"T{i:02d}" for i in range(1, 31))
 
@@ -330,32 +221,20 @@ def instantiate(id, params=(), field=QQ):
         raise InadmissibleParameter(
             f"{id} takes {len(e.param_names)} parameter(s), got {len(params)}"
         )
-    if not e.admissible(params):
-        raise InadmissibleParameter(f"{id} parameters {params} violate: {e.param_domain}")
-    table = e.table(*params)
-    mul_rows = table.get("mul", [])
-    if "second" in table:  # Novikov component: ordered entries, verbatim
-        mul = StructureConstants.from_entries(e.dim, mul_rows, field=field, symmetrize="sym")
-        second = StructureConstants.from_entries(e.dim, table["second"], field=field)
-        return AlgebraPair(mul, second)
+    if e.last_nonzero and not params[-1]:
+        raise InadmissibleParameter(f"{id} parameters {params} violate: {e.param_names[-1]} != 0")
+    mul_rows, second_rows = e.table(*params)
     mul = StructureConstants.from_entries(e.dim, mul_rows, field=field, symmetrize="sym")
-    bracket = StructureConstants.from_entries(
-        e.dim, table.get("bracket", []), field=field, symmetrize="antisym"
-    )
-    return AlgebraPair(mul, bracket)
+    second = StructureConstants.from_entries(
+        e.dim, second_rows, field=field, symmetrize=None if e.kind == "np" else "antisym")
+    return AlgebraPair(mul, second)
 
 
-def sample_params(id, count):
-    """Deterministic admissible parameter samples; the pool is front-loaded
-    with every special value the family's case analysis names, so small
-    counts already include them.  Parameter-free entries yield [()]."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    e = entry(id)
-    if not e.param_names:
-        return [()]
-    pool = [p for p in e.samples if e.admissible(p)]
-    return pool[: min(count, len(pool))] if count < len(pool) else pool
+def sample_params(id):
+    """The deterministic admissible parameter pool, front-loaded with every
+    special value the family's case analysis names.  Parameter-free entries
+    yield [()]."""
+    return list(entry(id).samples)
 
 
 @functools.cache
@@ -363,7 +242,7 @@ def t_series_samples():
     """(id, params, pair) for the whole T-series at the deterministic
     profile, built once per process."""
     return tuple((tid, params, instantiate(tid, params))
-                 for tid in T_SERIES_IDS for params in sample_params(tid, 10))
+                 for tid in T_SERIES_IDS for params in sample_params(tid))
 
 
 # ---------------------------------------------------------------------------

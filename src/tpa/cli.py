@@ -198,7 +198,7 @@ def cmd_dspecial(args):
         space = delta_derivations(comm, 1)
         doc["derivations"] = _space_doc(space)
         doc["derived_brackets"] = [
-            sc_to_entries(derived_bracket(comm, [list(r) for r in d]))
+            sc_to_entries(derived_bracket(comm, d))
             for d in space.basis
         ]
     if args.feasible:
@@ -236,7 +236,7 @@ def cmd_catalog(args):
     entries = []
     for cid in sorted(CATALOG):
         e = CATALOG[cid]
-        for params in sample_params(cid, 3):
+        for params in sample_params(cid)[:3]:
             pair = instantiate(cid, params)
             doc = pair_to_json(pair)
             doc["meta"] = {

@@ -153,7 +153,7 @@ def n02_obstruction_report():
             report["diagonal_maps_are_automorphisms"] = False
         if m[1][0] != zero or [m[0][1], m[1][1]] != [zero, one]:
             report["automorphisms_fix_e2_and_span_e1"] = False
-    for params in sample_params("NP02", 5):
+    for params in sample_params("NP02"):
         a, b, _g = params
         comm_pair = novikov_commutator_pair("NP02", params)
         cb = comm_pair.bracket

@@ -47,7 +47,6 @@ from .dspecial import (
     derivation_for,
     derived_bracket,
     derivation_matching_bracket,
-    is_strong_d_special,
     n02_obstruction_report,
     novikov_commutator_pair,
 )
@@ -283,11 +282,12 @@ def claim_witnesses():
 # criterion 5: strong D-special lists
 # ---------------------------------------------------------------------------
 
-def _nontrivial_samples():
-    for tid, params, pair in t_series_samples():
-        if pair.mul.is_zero() or pair.bracket.is_zero():
-            continue
-        yield tid, params, pair
+def _nontrivial_derivations():
+    """(id, params, derivation or None) for every nontrivial T-series
+    sample."""
+    return [(tid, params, derivation_matching_bracket(pair.mul, pair.bracket))
+            for tid, params, pair in t_series_samples()
+            if not (pair.mul.is_zero() or pair.bracket.is_zero())]
 
 
 def claim_vanishing_lemmas():
@@ -297,16 +297,15 @@ def claim_vanishing_lemmas():
     return _claim("vanishing-bracket-lemmas", not wrong, mismatches=wrong)
 
 
-def claim_negative_list_as_printed():
+def claim_negative_list_as_printed(solved):
     """The printed non-strong-D-special list, taken literally: T03 is
     restricted to nonzero parameter values, families to all samples."""
     counterexamples = []
     checked = 0
-    for tid, params, pair in _nontrivial_samples():
+    for tid, params, d in solved:
         if tid not in NEGATIVE_LIST or (tid == "T03" and params[0] == 0):
             continue
         checked += 1
-        d = derivation_matching_bracket(pair.mul, pair.bracket)
         if d is not None:
             counterexamples.append({
                 "id": tid, "params": [str(p) for p in params],
@@ -316,12 +315,12 @@ def claim_negative_list_as_printed():
                   checked=checked, counterexamples=counterexamples)
 
 
-def claim_strong_special_partition():
+def claim_strong_special_partition(solved):
     """Computed strong-D-special status over every nontrivial T-series
     sample against the corrected partition."""
     mismatches = []
-    for tid, params, pair in _nontrivial_samples():
-        special = is_strong_d_special(pair)
+    for tid, params, d in solved:
+        special = d is not None
         neg = COMPUTED_NEGATIVE.get(tid)
         expected_negative = neg == "all" or (neg == "zero" and params[0] == 0)
         if special == expected_negative:
@@ -335,7 +334,7 @@ def claim_positive_reconstructions():
     commutative algebra with the tabulated derivation."""
     failures = []
     for fid in DERIVATION_FAMILIES:
-        for params in sample_params(fid, 6):
+        for params in sample_params(fid):
             comm_id, dmat = derivation_for(fid, params)
             comm = instantiate(comm_id).mul
             got = derived_bracket(comm, dmat)
@@ -346,6 +345,14 @@ def claim_positive_reconstructions():
                 failures.append({"family": fid, "params": [str(p) for p in params],
                                  "reason": "not transposed Poisson"})
     return _claim("derivation-family-reconstructions", not failures, failures=failures)
+
+
+def strong_d_special_claims():
+    """Criterion 5; each nontrivial sample is solved once for both lists."""
+    vanishing = claim_vanishing_lemmas()
+    solved = _nontrivial_derivations()
+    return [vanishing, claim_negative_list_as_printed(solved),
+            claim_strong_special_partition(solved), claim_positive_reconstructions()]
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +379,7 @@ def claim_novikov():
     value_ok = (obstruction["commutator_in_span_e1"]
                 and obstruction["commutator_value_matches"])
     details["np02_commutator_values"] = value_ok
-    details["np02_sample_count"] = len(sample_params("NP02", 5))
+    details["np02_sample_count"] = len(sample_params("NP02"))
     details["n02_obstruction"] = obstruction
     ok = (details["np01_witness_verifies"] and found is not None and value_ok
           and obstruction["all_pass"])
@@ -483,7 +490,7 @@ def claim_properties():
     for aid in COMM_IDS:
         comm = instantiate(aid).mul
         for dmat in delta_derivations(comm, 1).basis:
-            pair = AlgebraPair(comm, derived_bracket(comm, [list(r) for r in dmat]))
+            pair = AlgebraPair(comm, derived_bracket(comm, dmat))
             if not is_transposed_poisson(pair):
                 derived_ok = False
     details["derived_brackets_are_transposed_poisson"] = derived_ok
@@ -615,12 +622,7 @@ CRITERIA = (
     ("2-halfder-table", lambda table: [claim_halfder_dims()]),
     ("3-enumeration", lambda table: [claim_enumeration()]),
     ("4-witnesses", lambda table: [claim_witnesses()]),
-    ("5-strong-d-special", lambda table: [
-        claim_vanishing_lemmas(),
-        claim_negative_list_as_printed(),
-        claim_strong_special_partition(),
-        claim_positive_reconstructions(),
-    ]),
+    ("5-strong-d-special", lambda table: strong_d_special_claims()),
     ("6-novikov", lambda table: [claim_novikov()]),
     ("7-degenerations", lambda table: [claim_degenerations(table)]),
     ("8-properties", lambda table: [claim_properties()]),

@@ -317,7 +317,7 @@ def _row_inputs():
     from tpa.degeneration import load_rows
 
     for cid in sorted(CATALOG):
-        for params in sample_params(cid, len(CATALOG[cid].samples)):
+        for params in sample_params(cid):
             yield cid, instantiate(cid, params)
     rng = random.Random(9)
     for tid, params, pair in t_series_samples():
@@ -527,7 +527,7 @@ def test_limit_pair_matches_mapped_limit():
 
 def test_commutator_bracket_matches_looped_difference():
     for nid in ("NP01", "NP02"):
-        for params in sample_params(nid, 5):
+        for params in sample_params(nid):
             mul2 = instantiate(nid, params).bracket
             assert _same_typed(commutator_bracket(mul2).c,
                                _looped_commutator_bracket(mul2).c), (nid, params)

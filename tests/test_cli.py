@@ -180,8 +180,15 @@ def test_iso_roundtrip(tmp_path, capsys):
     assert code == 1 and doc["isomorphic_via_witness"] is False
 
 
+#: sha256 of the whole ``catalog dump`` stdout
+CATALOG_DUMP_SHA256 = "d5f924f533b7768a8bb3f7319082c441927d5c3af5d0d45d11efe21debe45ee8"
+
+
 def test_catalog_dump(capsys):
-    code, doc = run(capsys, "catalog", "dump")
+    code = main(["catalog", "dump"])
+    raw = capsys.readouterr().out.encode()
+    assert hashlib.sha256(raw).hexdigest() == CATALOG_DUMP_SHA256
+    doc = json.loads(raw)
     assert code == 0
     ids = {e["meta"]["id"] for e in doc["entries"]}
     assert {"T01", "T30", "A04", "g2", "NP02", "D06b"} <= ids

@@ -94,7 +94,7 @@ def test_vanishing_requires_comm_assoc():
 
 def test_derivation_families_reproduce_brackets():
     for fid in DERIVATION_FAMILIES:
-        for params in sample_params(fid, 6):
+        for params in sample_params(fid):
             comm_id, d = derivation_for(fid, params)
             comm = instantiate(comm_id).mul
             got = derived_bracket(comm, d)
@@ -202,7 +202,7 @@ def test_commutator_of_symmetric_product_is_zero():
 
 
 def test_np02_commutator_values():
-    for params in sample_params("NP02", 5):
+    for params in sample_params("NP02"):
         a, b, _ = params
         cb = novikov_commutator_pair("NP02", params).bracket
         assert cb.c[0][1][0] == a - b
