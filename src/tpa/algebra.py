@@ -176,8 +176,7 @@ def _map_rows(sc, a, b, c):
     a, b, c = (field.coerce(x) for x in (a, b, c))
     rows = [[field.zero] * (n * n) for _ in range(n ** 3)]
     for p, q, s, v in sc.entries:
-        # coerce stores an integral product as an int
-        av, bv, cv = (field.coerce(x * v) for x in (a, b, c))
+        av, bv, cv = (x * v for x in (a, b, c))
         for m in range(n):
             if av:
                 rows[(p * n + q) * n + m][m * n + s] += av
@@ -185,7 +184,8 @@ def _map_rows(sc, a, b, c):
                 rows[(m * n + q) * n + s][p * n + m] += bv
             if cv:
                 rows[(p * n + m) * n + s][q * n + m] += cv
-    return rows
+    # products, and sums of them, can be integral Fractions (0 included); coerce stores an int
+    return [[x if type(x) is int else field.coerce(x) for x in row] for row in rows]
 
 
 def _apply(rows, mat, field):

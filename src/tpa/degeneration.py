@@ -67,19 +67,11 @@ class DegenerationInstance:
         return any(not p.is_constant() for p in self.source[1])
 
     def t_samples(self):
-        """Rational parameter values of the source along the curve, used to
-        evaluate derivation dimensions away from the limit."""
-        out = []
-        for t0 in (Fraction(1, 2), Fraction(2), Fraction(3)):
-            params = []
-            for p in self.source[1]:
-                den = sum(c * t0 ** e for e, c in enumerate(p.den))
-                if den == 0:
-                    break
-                params.append(sum(c * t0 ** e for e, c in enumerate(p.num)) / den)
-            else:
-                out.append(tuple(params))
-        return out
+        """Rational parameter values of the source along the curve, at
+        t = 1/2, 2 and 3 less any pole, used to evaluate derivation
+        dimensions away from the limit."""
+        samples = (tuple(p.value_at(t0) for p in self.source[1]) for t0 in (Fraction(1, 2), 2, 3))
+        return [params for params in samples if None not in params]
 
 
 @dataclass

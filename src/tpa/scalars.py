@@ -9,8 +9,10 @@ skips the gcd and the object ``Fraction`` costs, and a
 ``int / int`` is a float.  ``Fraction`` arithmetic can still yield an
 integral ``Fraction``, which the next coerce stores as ``int``; both
 forms share ``==`` and ``hash``.  Rational functions are pairs of dense
-coefficient lists over Fraction, kept fully reduced with a monic
-denominator.  Everything is immutable.
+coefficient tuples of Q values in that same form, so products of integral
+polynomials run on ``int`` arithmetic; they are kept fully reduced with a
+monic denominator, and every coefficient division is ``QQ.div``.
+Everything is immutable.
 
 Sums and products of Laurent operands (reduced denominator t^k), and a
 Laurent value divided by a monomial c*t^j, reduce by stripping powers of
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import reduce
 from operator import truediv
 
 
@@ -32,12 +35,25 @@ class ScalarParseError(ValueError):
     """Raised when a scalar string cannot be parsed."""
 
 
+def _normal(x):
+    """The rational x as a Q value: its numerator when it is integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _div(a, b):
+    """The exact quotient a/b as a Q value (``int / int`` is a float)."""
+    if isinstance(a, int) and isinstance(b, int):
+        return a // b if not a % b else Fraction(a, b)
+    return _normal(a / b)
+
+
 # ---------------------------------------------------------------------------
 # dense polynomial helpers (coefficient lists, low degree first)
 # ---------------------------------------------------------------------------
 
 def _trim(cs):
-    cs = list(cs)
+    """The coefficients as Q values, without trailing zeros."""
+    cs = [c if type(c) is int else _normal(c) for c in cs]
     while len(cs) > 1 and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
@@ -60,8 +76,8 @@ def _pneg(a):
 
 def _pmul(a, b):
     if _pzero(a) or _pzero(b):
-        return (Fraction(0),)
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+        return _ZERO
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca == 0:
             continue
@@ -75,11 +91,11 @@ def _pdivmod(a, b):
     if _pzero(b):
         raise ZeroDivisionError("polynomial division by zero")
     r = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    q = [0] * max(1, len(a) - len(b) + 1)
     db, lb = len(b) - 1, b[-1]
     while len(r) - 1 >= db and not _pzero(tuple(r)):
         shift = len(r) - 1 - db
-        coef = r[-1] / lb
+        coef = _div(r[-1], lb)
         q[shift] = coef
         for i in range(len(b)):
             r[shift + i] -= coef * b[i]
@@ -95,9 +111,9 @@ def _pgcd(a, b):
         _, r = _pdivmod(a, b)
         a, b = b, r
     if _pzero(a):
-        return (Fraction(0),)
+        return _ZERO
     lead = a[-1]
-    return tuple(c / lead for c in a)
+    return tuple(_div(c, lead) for c in a)
 
 
 def _pval(a):
@@ -114,8 +130,8 @@ def _tpow(a):
     return None if any(a[:k]) else k
 
 
-_ZERO = (Fraction(0),)
-_ONE = (Fraction(1),)
+_ZERO = (0,)
+_ONE = (1,)
 
 
 class RatFunc:
@@ -139,7 +155,7 @@ class RatFunc:
         if isinstance(v, RatFunc):
             raise TypeError("nested RatFunc; use arithmetic instead")
         if isinstance(v, (int, Fraction)):
-            return (Fraction(v),)
+            v = (v,)
         return _trim(Fraction(c) for c in v)
 
     def __setattr__(self, *a):  # pragma: no cover
@@ -155,7 +171,7 @@ class RatFunc:
         if isinstance(v, RatFunc):
             return v
         if isinstance(v, (int, Fraction)):
-            return _new((Fraction(v),), _ONE)
+            return _new(_trim((v,)), _ONE)
         return NotImplemented
 
     # -- field operations ---------------------------------------------------
@@ -188,7 +204,7 @@ class RatFunc:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return _new(_ZERO, _ONE)
-            return _new(tuple(c * other for c in self.num), self.den)
+            return _new(_trim(c * other for c in self.num), self.den)
         if not isinstance(other, RatFunc):
             return NotImplemented
         num = _pmul(self.num, other.num)
@@ -220,7 +236,7 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        if self.den == (Fraction(1),) and len(self.num) == 1:
+        if self.den == _ONE and len(self.num) == 1:
             return hash(self.num[0])
         return hash((self.num, self.den))
 
@@ -239,10 +255,16 @@ class RatFunc:
         """
         if self.den[0] == 0:
             raise Diverges(f"pole at t = 0 in {format_ratfunc(self)}")
-        return _normal(self.num[0] / self.den[0])
+        return _div(self.num[0], self.den[0])
+
+    def value_at(self, t0):
+        """The exact value at the rational point t0 as a Q value, or None
+        at a pole (a zero of the reduced denominator)."""
+        num, den = (reduce(lambda v, c: v * t0 + c, reversed(p), 0) for p in (self.num, self.den))
+        return _div(num, den) if den else None
 
     def is_constant(self):
-        return len(self.num) == 1 and self.den == (Fraction(1),)
+        return len(self.num) == 1 and self.den == _ONE
 
 
 def _new(num, den):
@@ -269,7 +291,7 @@ def _reduced(num, den):
     if k is not None:  # den = c*t^k: only powers of t can cancel
         c = den[-1]
         if c != 1:
-            num = tuple(x / c for x in num)
+            num = tuple(_div(x, c) for x in num)
         return _laurent(num, k)
     if _pzero(num):
         return _new(_ZERO, _ONE)
@@ -279,8 +301,8 @@ def _reduced(num, den):
         den, _ = _pdivmod(den, g)
     lead = den[-1]
     if lead != 1:
-        num = tuple(c / lead for c in num)
-        den = tuple(c / lead for c in den)
+        num = tuple(_div(c, lead) for c in num)
+        den = tuple(_div(c, lead) for c in den)
     return _new(num, den)
 
 
@@ -293,11 +315,6 @@ def limit_at_zero(r):
     if isinstance(r, RatFunc):
         return r.limit_at_zero()
     return QQ.coerce(r)
-
-
-def _normal(x):
-    """The rational x as a Q value: its numerator when it is integral."""
-    return x.numerator if x.denominator == 1 else x
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +446,7 @@ def _poly_str(cs):
 
 
 def format_ratfunc(r):
-    if r.den == (Fraction(1),):
+    if r.den == _ONE:
         return _poly_str(r.num)
     return f"({_poly_str(r.num)})/({_poly_str(r.den)})"
 
@@ -447,21 +464,17 @@ class _RationalField:
     def coerce(v):
         if type(v) is int:
             return v
+        if type(v) is Fraction:
+            return _normal(v)
         if isinstance(v, RatFunc):
             if not v.is_constant():
                 raise TypeError("cannot coerce a non-constant function into Q")
-            v = v.num[0]
-        elif isinstance(v, float):
+            return v.num[0]
+        if isinstance(v, float):
             raise TypeError(f"a float is not an exact rational: {v!r}")
         return _normal(Fraction(v))
 
-    @staticmethod
-    def div(a, b):
-        """The exact quotient a/b as a Q value (``int / int`` is a float)."""
-        if isinstance(a, int) and isinstance(b, int):
-            return a // b if not a % b else Fraction(a, b)
-        return _normal(a / b)
-
+    div = staticmethod(_div)
     parse = staticmethod(parse_rational)
     format = staticmethod(format_rational)
 

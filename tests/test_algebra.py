@@ -347,6 +347,18 @@ def test_map_rows_match_dense_scan():
     assert checked > 2500
 
 
+def test_map_rows_cells_are_canonical():
+    # non-integral products can sum to an integer; the cell then holds an
+    # int, never an integral Fraction (over Q(t), neither may a coefficient)
+    for label, pair in _row_inputs():
+        for sc in (pair.mul, pair.bracket):
+            for coeffs in ROW_COEFFS:
+                for x in flatten(_map_rows(sc, *coeffs)):
+                    for c in ((x,) if sc.field is QQ else x.num + x.den):
+                        assert type(c) is int or type(c) is F and c.denominator != 1, (
+                            label, coeffs, x)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_flatten_unflatten_roundtrip(n):
     vec = list(range(n ** 3))

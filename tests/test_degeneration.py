@@ -204,6 +204,22 @@ def test_row_checks_are_necessary_checks():
         assert set(r.checks) == keys, (r.row, r.instance)
 
 
+def test_t_samples_are_exact_at_an_int_point():
+    # t0 = 2 is an int, where int / int would be a float: each sample is the
+    # exact Q value of the source parameters, and a pole drops the sample
+    for inst in load_rows():
+        at_two = tuple(p.value_at(2) for p in inst.source[1])
+        assert at_two == tuple(p.value_at(F(2)) for p in inst.source[1]), inst.name
+        assert all(type(v) is int or type(v) is F and v.denominator != 1 for v in at_two)
+        assert inst.t_samples()[1] == at_two, inst.name
+    row = load_rows()[0]
+    fields = {f: getattr(row, f) for f in row.__dataclass_fields__}
+    fields["source"] = ("T17", (1 / (T - 2), T / 2))
+    samples = DegenerationInstance(**fields).t_samples()
+    assert samples == [(F(-2, 3), F(1, 4)), (1, F(3, 2))]
+    assert [type(v) for s in samples for v in s] == [F, F, int, F]
+
+
 def test_row_without_samples_rejected():
     # no rational point of the source curve means no evidence for the
     # closed conditions: the row is refused, not passed vacuously

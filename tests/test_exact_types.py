@@ -2,9 +2,11 @@
 
 A walk over the outputs of the layers that compute over Q (linalg,
 transport, the derivation solvers) and of the CLI documents built from
-them.  A float anywhere, or an integral Fraction, fails the walk.  That
-the generic elimination loop returns the integer kernel's entries, types
-included, is tested in test_linalg.
+them, and over the coefficients of the Q(t) values that the degeneration
+curves produce, which take the same form.  A float anywhere, or an
+integral Fraction, fails the walk.  That the generic elimination loop
+returns the integer kernel's entries, types included, is tested in
+test_linalg.
 """
 
 import contextlib
@@ -16,11 +18,12 @@ from unittest import mock
 from hypothesis import assume, given, settings, strategies as st
 
 from tpa import linalg
-from tpa.algebra import pair_to_json, transport
+from tpa.algebra import flatten, gl_action, limit_pair, pair_to_json, transport
 from tpa.catalog import t_series_samples
 from tpa.cli import main
+from tpa.degeneration import load_rows
 from tpa.derivations import half_biderivations, pair_derivations
-from tpa.scalars import QQ
+from tpa.scalars import QQ, QQ_T, Diverges, RatFunc, limit_at_zero
 
 
 def leaves(x):
@@ -128,3 +131,53 @@ def test_der_and_check_documents_hold_no_float(pairs, delta):
     code, doc = run_cli(["check", "--input", "-"], text)
     assert code == 0
     assert all(isinstance(v, bool) for v in json_leaves(doc))
+
+
+def assert_qt_values(x):
+    """Each leaf is a RatFunc whose coefficients are Q values."""
+    for v in leaves(x):
+        assert type(v) is RatFunc, repr(v)
+        assert_q_values(v.num + v.den)
+
+
+@st.composite
+def unimodular(draw):
+    """A 3x3 integer matrix of determinant +-1, over Q(t): a signed
+    permutation times unit lower and upper triangular factors."""
+    def triangular(below):
+        return [[1 if i == j else draw(st.integers(-2, 2)) if (i > j) == below else 0
+                 for j in range(3)] for i in range(3)]
+    perm = draw(st.permutations(range(3)))
+    signed = [[draw(st.sampled_from((-1, 1))) if perm[i] == j else 0 for j in range(3)]
+              for i in range(3)]
+    m = linalg.mat_mul(signed, linalg.mat_mul(triangular(True), triangular(False)))
+    return [[QQ_T.coerce(x) for x in row] for row in m]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(load_rows()), unimodular(), unimodular())
+def test_degeneration_curve_outputs_are_canonical(inst, k, h):
+    """A table curve conjugated to k.g(t).h, acting on the source moved by h."""
+    curve = linalg.mat_mul(linalg.mat_mul(k, inst.g_matrix()), h)
+    acted = gl_action(transport(inst.source_pair(), h), curve)
+    cells = flatten(acted.mul.c) + flatten(acted.bracket.c)
+    assert_qt_values([curve, cells])
+    assert_qt_values(linalg.inv(curve, QQ_T))
+    assert_qt_values([linalg.det(curve, QQ_T)])
+    # row z holds the e_z coordinates of the nine products: 3 x 9, so the
+    # rref has non-pivot columns
+    c = acted.mul.c
+    wide = [[c[i][j][z] for i in range(3) for j in range(3)] for z in range(3)]
+    assert_qt_values(linalg.rref(wide, QQ_T)[0])
+    entries = [v for row in curve for v in row] + [v for v in cells if v]
+    assert_qt_values([QQ_T.parse(QQ_T.format(v)) for v in entries])  # parse_ratfunc
+    for a, b in zip(entries, entries[1:]):
+        assert_qt_values([a + b, a - b, a * b, a * 3, a / 2] + ([a / b] if b else []))
+    limit = limit_pair(acted)
+    assert_q_values([limit.mul.c, limit.bracket.c, [limit_at_zero(v) for v in cells]])
+    for v in entries:
+        try:
+            assert_q_values([v.limit_at_zero()])
+        except Diverges:
+            pass
+    assert_q_values(inst.t_samples())

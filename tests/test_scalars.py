@@ -163,6 +163,15 @@ def test_integral_rationals_are_ints():
     assert QQ_T.div(T, 2) == T / 2
 
 
+def test_value_at_is_exact():
+    r = (T * T + 1) / (2 * T - 6)  # a pole at t = 3
+    assert [r.value_at(x) for x in (2, F(2), 0, F(1, 2), 3, F(3))] == [
+        F(-5, 2), F(-5, 2), F(-1, 6), F(-1, 4), None, None]
+    assert type((T * T + 1).value_at(2)) is int and (T * T + 1).value_at(2) == 5
+    assert type(((T * T - 4) / (T + 2)).value_at(F(6))) is int  # t - 2 at 6
+    assert RatFunc(F(2, 3)).value_at(7) == F(2, 3) and RatFunc(0).value_at(5) == 0
+
+
 def test_field_descriptors():
     assert QQ.coerce(3) == F(3)
     assert QQ_T.coerce(F(1, 2)) == RatFunc(F(1, 2))
@@ -247,7 +256,7 @@ def _euclid(num, den):
     g = _pgcd(num, den)
     num, den = _pdivmod(num, g)[0], _pdivmod(den, g)[0]
     lead = den[-1]
-    return tuple(c / lead for c in num), tuple(c / lead for c in den)
+    return _trim(F(c) / lead for c in num), _trim(F(c) / lead for c in den)
 
 
 @st.composite
@@ -259,7 +268,7 @@ def operands(draw):
 def _assert_reduces_to(r, num, den):
     n, d = _euclid(num, den)
     assert (r.num, r.den) == (n, d)
-    assert all(type(c) is F for c in r.num + r.den)
+    assert all(type(c) is int or type(c) is F and c.denominator != 1 for c in r.num + r.den)
     assert hash(r) == (hash(n[0]) if d == (F(1),) and len(n) == 1 else hash((n, d)))
 
 
