@@ -16,14 +16,17 @@ Everything is immutable.
 
 Sums and products of Laurent operands (reduced denominator t^k), and a
 Laurent value divided by a monomial c*t^j, reduce by stripping powers of
-t instead of by the Euclidean gcd; the stored form is the same either way.
+t.  Any other denominator is reduced by an integer heuristic gcd: both
+sides are cleared to primitive integer polynomials, and their gcd is read
+off the integer gcd of their values at one large point, certified by
+exact division over Z.  The stored form is the same either way.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
-from functools import reduce
 from operator import truediv
 
 
@@ -38,6 +41,14 @@ class ScalarParseError(ValueError):
 def _normal(x):
     """The rational x as a Q value: its numerator when it is integral."""
     return x.numerator if x.denominator == 1 else x
+
+
+def _rational(v):
+    """v as a Q value; a float raises TypeError instead of storing its
+    binary expansion."""
+    if isinstance(v, float):
+        raise TypeError(f"a float is not an exact rational: {v!r}")
+    return _normal(Fraction(v))
 
 
 def _div(a, b):
@@ -86,36 +97,6 @@ def _pmul(a, b):
     return _trim(out)
 
 
-def _pdivmod(a, b):
-    """Polynomial division: a = q*b + r with deg r < deg b."""
-    if _pzero(b):
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    q = [0] * max(1, len(a) - len(b) + 1)
-    db, lb = len(b) - 1, b[-1]
-    while len(r) - 1 >= db and not _pzero(tuple(r)):
-        shift = len(r) - 1 - db
-        coef = _div(r[-1], lb)
-        q[shift] = coef
-        for i in range(len(b)):
-            r[shift + i] -= coef * b[i]
-        while len(r) > 1 and r[-1] == 0:
-            r.pop()
-    return _trim(q), _trim(r)
-
-
-def _pgcd(a, b):
-    """Monic gcd via the Euclidean algorithm."""
-    a, b = _trim(a), _trim(b)
-    while not _pzero(b):
-        _, r = _pdivmod(a, b)
-        a, b = b, r
-    if _pzero(a):
-        return _ZERO
-    lead = a[-1]
-    return tuple(_div(c, lead) for c in a)
-
-
 def _pval(a):
     """t-adic valuation: index of the lowest nonzero coefficient."""
     for i, c in enumerate(a):
@@ -154,9 +135,9 @@ class RatFunc:
     def _coeffs(v):
         if isinstance(v, RatFunc):
             raise TypeError("nested RatFunc; use arithmetic instead")
-        if isinstance(v, (int, Fraction)):
+        if isinstance(v, (int, Fraction, float)):
             v = (v,)
-        return _trim(Fraction(c) for c in v)
+        return _trim(_rational(c) for c in v)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("RatFunc is immutable")
@@ -260,7 +241,7 @@ class RatFunc:
     def value_at(self, t0):
         """The exact value at the rational point t0 as a Q value, or None
         at a pole (a zero of the reduced denominator)."""
-        num, den = (reduce(lambda v, c: v * t0 + c, reversed(p), 0) for p in (self.num, self.den))
+        num, den = _peval(self.num, t0), _peval(self.den, t0)
         return _div(num, den) if den else None
 
     def is_constant(self):
@@ -295,15 +276,74 @@ def _reduced(num, den):
         return _laurent(num, k)
     if _pzero(num):
         return _new(_ZERO, _ONE)
-    g = _pgcd(num, den)
-    if len(g) > 1 or g[0] != 1:
-        num, _ = _pdivmod(num, g)
-        den, _ = _pdivmod(den, g)
-    lead = den[-1]
-    if lead != 1:
-        num = tuple(_div(c, lead) for c in num)
-        den = tuple(_div(c, lead) for c in den)
-    return _new(num, den)
+    (pn, qn, n), (pd, qd, d) = _integral(num), _integral(den)
+    n, d = _cofactors(n, d)
+    lead = d[-1]  # num/den = (pn/qn) n / ((pd/qd) d), with the gcd of n, d divided out
+    scale = _div(pn * qd, qn * pd * lead)
+    return _new(_trim(scale * x for x in n), tuple(_div(x, lead) for x in d))
+
+
+def _integral(cs):
+    """(p, q, a) with cs = (p/q) * a for a primitive integer polynomial a."""
+    q = math.lcm(*(1 if type(c) is int else c.denominator for c in cs))
+    a = [c * q if type(c) is int else c.numerator * (q // c.denominator) for c in cs]
+    p = math.gcd(*a)
+    return p, q, [x // p for x in a] if p != 1 else a
+
+
+def _cofactors(a, b):
+    """(a/g, b/g) for nonzero primitive integer polynomials a, b and g their
+    gcd over Z, by the heuristic gcd of Char, Geddes and Gonnet (1989): the
+    integer gcd of a(xi) and b(xi), read back as a polynomial in balanced
+    base xi.  For xi >= 2*min(|a|, |b|) + 2 the primitive part of that
+    polynomial is the gcd when it divides both exactly (Geddes, Czapor and
+    Labahn, Algorithms for Computer Algebra, Thm 7.7); otherwise xi grows,
+    and for xi large enough it always does divide both."""
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    while True:
+        h = math.gcd(_peval(a, xi), _peval(b, xi))
+        g = []
+        while h:
+            digit = h % xi
+            if digit > xi // 2:
+                digit -= xi
+            g.append(digit)
+            h = (h - digit) // xi
+        if len(g) == 1:
+            return a, b
+        c = math.gcd(*g)
+        if g[-1] < 0:
+            c = -c
+        g = [x // c for x in g]
+        qa = _exquo(a, g)
+        qb = _exquo(b, g) if qa is not None else None
+        if qb is not None:
+            return qa, qb
+        xi = xi * 73794 // 27011  # the growth of Geddes, Czapor and Labahn
+
+
+def _peval(a, x):
+    """The polynomial a at x, by Horner's rule."""
+    v = 0
+    for c in reversed(a):
+        v = v * x + c
+    return v
+
+
+def _exquo(a, b):
+    """a/b when the integer polynomial b divides a over Z, else None."""
+    db, lb = len(b) - 1, b[-1]
+    r = list(a)
+    q = [0] * (len(a) - db)
+    for shift in range(len(q) - 1, -1, -1):
+        c, m = divmod(r[shift + db], lb)
+        if m:
+            return None
+        if c:
+            q[shift] = c
+            for i, x in enumerate(b):
+                r[shift + i] -= c * x
+    return None if any(r[:db]) else q
 
 
 #: the variable t
@@ -470,9 +510,7 @@ class _RationalField:
             if not v.is_constant():
                 raise TypeError("cannot coerce a non-constant function into Q")
             return v.num[0]
-        if isinstance(v, float):
-            raise TypeError(f"a float is not an exact rational: {v!r}")
-        return _normal(Fraction(v))
+        return _rational(v)
 
     div = staticmethod(_div)
     parse = staticmethod(parse_rational)
@@ -493,7 +531,7 @@ class _RatFuncField:
     def coerce(v):
         if isinstance(v, RatFunc):
             return v
-        return RatFunc(Fraction(v))
+        return _new((_rational(v),), _ONE)
 
     div = staticmethod(truediv)
     parse = staticmethod(parse_ratfunc)

@@ -18,6 +18,7 @@ from tpa.dspecial import (
     is_strong_d_special,
     n02_obstruction_report,
     novikov_commutator_pair,
+    trace_form,
 )
 from tpa.iso import verify_witness
 from tpa.scalars import QQ
@@ -214,6 +215,16 @@ def test_n02_obstruction():
     assert report["all_pass"]
     assert report["n02_bracket_spans_e2"]
     assert report["no_witness_along_family"]
+    assert report["automorphisms_fix_e2_and_span_e1"]
+
+
+def test_n02_trace_form_radical_is_span_e1():
+    mul = instantiate("N02").mul
+    assert trace_form(mul) == [[0, 0], [0, 2]]
+    assert linalg.nullspace(trace_form(mul), 2, QQ) == [[1, 0]]
+    # the radical moves with the basis: in the basis e2, e1 it is span(e2)
+    swapped = transport(AlgebraPair(mul, mul), [[0, 1], [1, 0]]).mul
+    assert linalg.nullspace(trace_form(swapped), 2, QQ) == [[0, 1]]
 
 
 def test_double_labelled_families_are_distinct():

@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tpa.scalars
 from tpa.scalars import (
     MAX_T_EXPONENT,
     QQ,
@@ -11,12 +13,17 @@ from tpa.scalars import (
     RatFunc,
     ScalarParseError,
     T,
+    _ZERO,
+    _cofactors,
+    _div,
+    _exquo,
+    _integral,
     _new,
     _padd,
-    _pdivmod,
-    _pgcd,
+    _peval,
     _pmul,
     _pneg,
+    _pzero,
     _trim,
     format_ratfunc,
     format_rational,
@@ -180,6 +187,15 @@ def test_field_descriptors():
         QQ.coerce(T)
 
 
+@pytest.mark.parametrize("make", [lambda: QQ.coerce(0.1), lambda: QQ_T.coerce(0.1),
+                                  lambda: RatFunc(0.5), lambda: RatFunc([0.5, 1]),
+                                  lambda: RatFunc([1], [2.0, 1])])
+def test_floats_rejected(make):
+    # Fraction(0.1) would store 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match="a float is not an exact rational"):
+        make()
+
+
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 polys = st.lists(small_fracs, min_size=1, max_size=4)
 
@@ -248,6 +264,39 @@ def denominators(draw):
     if kind == "power-of-t":
         return [F(0)] * draw(st.integers(1, 6)) + [F(1)]
     return draw(st.lists(coeffs, min_size=1, max_size=3).filter(any)) + [F(1)]
+
+
+# The Euclidean reduction that _reduced used before the heuristic gcd,
+# kept as the reference it is checked against.
+
+def _pdivmod(a, b):
+    """Polynomial division: a = q*b + r with deg r < deg b."""
+    if _pzero(b):
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(a)
+    q = [0] * max(1, len(a) - len(b) + 1)
+    db, lb = len(b) - 1, b[-1]
+    while len(r) - 1 >= db and not _pzero(tuple(r)):
+        shift = len(r) - 1 - db
+        coef = _div(r[-1], lb)
+        q[shift] = coef
+        for i in range(len(b)):
+            r[shift + i] -= coef * b[i]
+        while len(r) > 1 and r[-1] == 0:
+            r.pop()
+    return _trim(q), _trim(r)
+
+
+def _pgcd(a, b):
+    """Monic gcd via the Euclidean algorithm."""
+    a, b = _trim(a), _trim(b)
+    while not _pzero(b):
+        _, r = _pdivmod(a, b)
+        a, b = b, r
+    if _pzero(a):
+        return _ZERO
+    lead = a[-1]
+    return tuple(_div(c, lead) for c in a)
 
 
 def _euclid(num, den):
@@ -348,3 +397,55 @@ def test_limit_matches_sympy(a, b):
             assert lim.is_infinite
             with pytest.raises(Diverges):
                 r.limit_at_zero()
+
+
+# -- the integer heuristic gcd against sympy --------------------------------
+
+small_ints = st.integers(-6, 6)
+int_polys = st.lists(small_ints, min_size=1, max_size=4).filter(lambda cs: cs[-1] != 0)
+
+
+@st.composite
+def factored_pairs(draw):
+    """G*F and G*H times a common content, each factor possibly times t^k,
+    with leading coefficients of either sign."""
+    def factor():
+        return [0] * draw(st.integers(0, 2)) + draw(int_polys)
+    g, f, h = factor(), factor(), factor()
+    c = draw(st.integers(-12, 12).filter(bool))
+    cf, ch = (draw(st.sampled_from([F(1), F(-1), F(2, 3), F(-5, 4), F(6)])) for _ in "fh")
+    return (_pmul(_pmul(g, f), (c * cf,)), _pmul(_pmul(g, h), (c * ch,)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(factored_pairs())
+def test_cofactors_match_sympy(pair):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    (_, _, a), (_, _, b) = _integral(pair[0]), _integral(pair[1])
+    assert math.gcd(*a) == math.gcd(*b) == 1
+    pa, pb = (sympy.Poly(list(reversed(x)), t, domain="ZZ") for x in (a, b))
+    g = sympy.gcd(pa, pb)
+    if g.LC() < 0:
+        g = -g
+    expected = tuple(tuple(int(c) for c in reversed(p.exquo(g).all_coeffs())) for p in (pa, pb))
+    qa, qb = _cofactors(a, b)
+    assert (tuple(qa), tuple(qb)) == expected
+    assert all(type(c) is int for c in qa + qb)
+
+
+def test_cofactors_retry_after_failed_certification(monkeypatch):
+    a, b = [-1, 1], [3, 2, 2, -1]  # -1 + t and 3 + 2t + 2t^2 - t^3, coprime
+    xi = 2 * min(1, 3) + 2
+    assert (_peval(a, xi), _peval(b, xi), math.gcd(_peval(a, xi), _peval(b, xi))) == (3, -21, 3)
+    # 3 = -1 + 1*4 in balanced base 4: the candidate t - 1 divides a but not b
+    assert _exquo(a, [-1, 1]) == [1] and _exquo(b, [-1, 1]) is None
+    tried = []
+
+    def exquo(p, g):
+        tried.append((p, g))
+        return _exquo(p, g)
+    monkeypatch.setattr(tpa.scalars, "_exquo", exquo)
+    assert _cofactors(a, b) == (a, b)
+    assert tried == [(a, [-1, 1]), (b, [-1, 1])]
+    _assert_reduces_to(RatFunc(a, b), a, b)
