@@ -319,7 +319,7 @@ def _cofactors(a, b):
         qb = _exquo(b, g) if qa is not None else None
         if qb is not None:
             return qa, qb
-        xi = xi * 73794 // 27011  # the growth of Geddes, Czapor and Labahn
+        xi = xi * 73794 // 27011  # grow by about 1 + sqrt(3)
 
 
 def _peval(a, x):
