@@ -5,14 +5,13 @@ field (see scalars.QQ / scalars.QQ_T).  Elimination uses first-nonzero
 pivoting and normalises pivots to 1, so ranks, solutions and nullspace
 bases are reproducible across runs.
 
-Every division goes through the field's ``div``: over Q that is
-``QQ.div``, exact and returning an ``int`` for an integral quotient, so
-no float can arise (``int / int`` is one).  ``rref`` over Q clears
-denominators and eliminates with integer row operations, dividing by
-pivots only at the end; over Q(t) it runs the generic field loop.  Both
-give the one reduced row echelon form, with integral entries as ``int``
-over Q, so every function built on ``rref`` returns the same result
-either way.
+Every division goes through the field's ``div``, which is exact and never
+returns a float (``int / int`` is one); over Q it returns an ``int`` for
+an integral quotient.  ``rref`` is one fraction-free loop for both
+fields: rows are combined without division and each pivot row is divided
+by its pivot once, at the end.  Over Q the rows are primitive integer
+rows; over Q(t) they are rows of rational functions.  The result is the
+one reduced row echelon form either way.
 """
 
 from __future__ import annotations
@@ -58,27 +57,21 @@ def transpose(a):
 
 
 def rref(rows, field):
-    """Reduced row echelon form.  Returns (matrix, pivot column list)."""
+    """Reduced row echelon form.  Returns (matrix, pivot column list).
+
+    Fraction-free Gauss-Jordan: each step replaces a row by
+    a*row - b*pivot_row, and each pivot row is divided by its pivot once,
+    at the end.  Every row stays a nonzero multiple of the row the
+    textbook loop (normalise the pivot, then subtract) would hold, so the
+    pivots and the reduced form are the same.  Zero rows change neither,
+    so they are set aside first and come back as the bottom rows."""
     if field is QQ:
-        return _rref_integer(rows)
-    return _rref_generic(rows, field)
-
-
-def _rref_integer(rows):
-    """rref over Q by fraction-free elimination.
-
-    Each row is scaled to a primitive integer row (denominators cleared,
-    content divided out), and stays a nonzero multiple of the row the
-    generic loop would hold.  Zero patterns, and so pivots and swaps, are
-    therefore the same, and dividing each pivot row by its pivot at the
-    end gives the same matrix."""
-    m = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        m.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
-    if not m:
-        return m, []
-    ncols = len(m[0])
+        m = [_primitive(_integral(row)) for row in rows if any(row)]
+        step = _integer_step
+    else:
+        m = [list(row) for row in rows if any(row)]
+        step = _field_step
+    ncols = len(rows[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(ncols):
@@ -88,19 +81,21 @@ def _rref_integer(rows):
         m[r], m[pivot] = m[pivot], m[r]
         prow = m[r]
         for i, row in enumerate(m):
-            f = row[c]
-            if i != r and f:
-                g = gcd(prow[c], f)
-                a, b = prow[c] // g, f // g
-                m[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
+            if i != r and row[c]:
+                m[i] = step(row, prow, c)
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    div = QQ.div
-    red = [[div(x, row[c]) if x else 0 for x in row] for row, c in zip(m, pivots)]
-    red += [[0] * ncols for _ in range(len(m) - r)]
-    return red, pivots
+    div, zero = field.div, field.zero
+    red = [[div(x, row[c]) if x else zero for x in row] for row, c in zip(m, pivots)]
+    return red + [[zero] * ncols for _ in range(len(rows) - r)], pivots
+
+
+def _integral(row):
+    """A row of Q values times the lcm of its denominators: all int."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
 def _primitive(row):
@@ -109,37 +104,23 @@ def _primitive(row):
     return [x // g for x in row] if g > 1 else row
 
 
-def _rref_generic(rows, field):
-    """rref over any field: the reference loop, and the Q(t) path."""
-    m = [list(r) for r in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        if pv != field.one:
-            m[r] = [field.div(x, pv) for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    # row operations can leave an integral Fraction over Q; coerce stores it as int
-    return [[field.coerce(x) for x in row] for row in m], pivots
+def _integer_step(row, prow, c):
+    """a*row - b*prow over Z, with a, b the pivot and the entry divided by
+    their gcd, as a primitive row."""
+    g = gcd(prow[c], row[c])
+    a, b = prow[c] // g, row[c] // g
+    return _primitive([a * x - b * y for x, y in zip(row, prow)])
+
+
+def _field_step(row, prow, c):
+    """a*row - b*prow with a, b the pivot and the entry: over Q(t), Laurent
+    entries stay Laurent until the final division.  A zero in prow costs
+    one product, not two and a difference."""
+    a, b = prow[c], row[c]
+    return [a * x - b * y if y else a * x for x, y in zip(row, prow)]
 
 
 def rank(rows, field):
-    if not rows:
-        return 0
     return len(rref(rows, field)[1])
 
 
@@ -147,8 +128,6 @@ def nullspace(rows, ncols, field):
     """Basis of {x : rows @ x = 0}, each vector scaled so its first
     nonzero coordinate is 1.  Free coordinates are taken in increasing
     index order, which makes the basis deterministic."""
-    if not rows:
-        rows = [[field.zero] * ncols]
     red, pivots = rref(rows, field)
     pivot_set = set(pivots)
     basis = []
@@ -216,10 +195,7 @@ def det(a, field):
 
 def span_dim(vectors, field):
     """Dimension of the span of a list of coordinate vectors."""
-    vecs = [v for v in vectors if any(x for x in v)]
-    if not vecs:
-        return 0
-    return rank(vecs, field)
+    return rank(vectors, field)
 
 
 def in_span(vectors, target, field):

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import truediv
 
 
 class Diverges(ArithmeticError):
@@ -533,7 +532,11 @@ class _RatFuncField:
             return v
         return _new((_rational(v),), _ONE)
 
-    div = staticmethod(truediv)
+    @staticmethod
+    def div(a, b):
+        # the dividend is lifted first: two Q values divide to a RatFunc, not a float
+        return QQ_T.coerce(a) / b
+
     parse = staticmethod(parse_ratfunc)
     format = staticmethod(format_ratfunc)
 

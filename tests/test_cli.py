@@ -315,6 +315,34 @@ def test_qt_input_feasible_derivation(tmp_path, capsys):
     assert d == [[half_over_t, 0, 0], [0, -half_over_t, 0], [0, 0, 0]]
 
 
+def test_qt_input_every_single_algebra_command(tmp_path, capsys):
+    # a Q(t) pair with non-integral rational constants next to t
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({
+        "dim": 2, "mul": [[1, 1, 1, "t"], [1, 2, 2, "1/2"], [2, 1, 2, "1/2"]],
+        "bracket": [[1, 2, 1, "2*t"], [2, 1, 1, "-2*t"], [1, 2, 2, "1/3"], [2, 1, 2, "-1/3"]]}))
+    for command in (["check"], ["der"], ["biderive"], ["enumerate"], ["fingerprint"],
+                    ["dspecial", "--feasible"]):
+        assert main([*command, "--input", str(path)]) == 0, command
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)
+        assert "Traceback" not in captured.err
+
+
+def test_iso_qt_pair_with_rational_witness(tmp_path, capsys):
+    # inverting the witness over Q(t) divides two plain rationals
+    files = {"lhs": {"dim": 2, "mul": [[1, 1, 1, "t"]]},
+             "rhs": {"dim": 2, "mul": [[1, 1, 1, "2*t"]]},
+             "witness": [["2", "0"], ["0", "1"]]}
+    argv = ["iso"]
+    for flag, doc in files.items():
+        path = tmp_path / f"{flag}.json"
+        path.write_text(json.dumps(doc))
+        argv += [f"--{flag}", str(path)]
+    code, doc = run(capsys, *argv)
+    assert code == 0 and doc["isomorphic_via_witness"] is True
+
+
 def test_deterministic_output(capsys):
     code1 = main(["catalog", "dump"])
     out1 = capsys.readouterr().out

@@ -218,6 +218,23 @@ def test_n02_obstruction():
     assert report["automorphisms_fix_e2_and_span_e1"]
 
 
+def test_n02_no_witness_flag_reads_the_commutator_bracket(monkeypatch):
+    # a commutator pair whose bracket leaves span(e1): here N02's own bracket,
+    # so the identity is a witness and the flag must turn false
+    n02 = instantiate("N02")
+    real = novikov_commutator_pair
+
+    def leaving_span_e1(np_id, params=()):
+        return AlgebraPair(real(np_id, params).mul, n02.bracket)
+
+    monkeypatch.setattr("tpa.dspecial.novikov_commutator_pair", leaving_span_e1)
+    pair = leaving_span_e1("NP02", sample_params("NP02")[0])
+    assert verify_witness(pair, n02, [[1, 0], [0, 1]])
+    report = n02_obstruction_report()
+    assert report["commutator_in_span_e1"] is False
+    assert report["no_witness_along_family"] is False
+    assert report["all_pass"] is False
+
 def test_n02_trace_form_radical_is_span_e1():
     mul = instantiate("N02").mul
     assert trace_form(mul) == [[0, 0], [0, 2]]

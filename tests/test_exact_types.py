@@ -4,8 +4,8 @@ A walk over the outputs of the layers that compute over Q (linalg,
 transport, the derivation solvers) and of the CLI documents built from
 them, and over the coefficients of the Q(t) values that the degeneration
 curves produce, which take the same form.  A float anywhere, or an
-integral Fraction, fails the walk.  That the generic elimination loop
-returns the integer kernel's entries, types included, is tested in
+integral Fraction, fails the walk.  That the textbook elimination loop
+returns the fraction-free rref's entries, types included, is tested in
 test_linalg.
 """
 
@@ -24,6 +24,8 @@ from tpa.cli import main
 from tpa.degeneration import load_rows
 from tpa.derivations import half_biderivations, pair_derivations
 from tpa.scalars import QQ, QQ_T, Diverges, RatFunc, limit_at_zero
+
+from test_linalg import textbook_rref
 
 
 def leaves(x):
@@ -61,7 +63,7 @@ def test_linalg_outputs_are_q_values(case):
     m, rhs = case
     ncols = len(m[0])
     assert_q_values(linalg.rref(m, QQ)[0])
-    assert_q_values(linalg._rref_generic(m, QQ)[0])  # the Q(t) loop run over Q
+    assert_q_values(textbook_rref(m, QQ)[0])  # the reference loop run over Q
     assert_q_values(linalg.nullspace(m, ncols, QQ))
     x = linalg.solve(m, rhs, QQ)
     if x is not None:

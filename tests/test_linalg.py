@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,37 @@ from tpa import linalg
 from tpa.catalog import t_series_samples
 from tpa.derivations import pair_derivations
 from tpa.linalg import SingularMatrix
-from tpa.scalars import QQ, QQ_T, T
+from tpa.scalars import QQ, QQ_T, RatFunc, T
+
+
+def textbook_rref(rows, field):
+    """The textbook Gauss-Jordan loop over any field: normalise each pivot
+    row, then subtract it from every other row.  The reference for the
+    fraction-free ``linalg.rref``."""
+    m = [list(r) for r in rows]
+    if not m:
+        return m, []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pv = m[r][c]
+        if pv != field.one:
+            m[r] = [field.div(x, pv) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    # row operations can leave an integral Fraction over Q; coerce stores it as int
+    return [[field.coerce(x) for x in row] for row in m], pivots
 
 
 def test_rref_and_rank():
@@ -57,7 +88,7 @@ def test_det():
 
 
 def test_rational_function_elimination():
-    # Q(t) has no integer form: rref runs the generic field loop here
+    # over Q(t) rref combines rows of rational functions without dividing
     g = [[T, QQ_T.one, QQ_T.zero],
          [QQ_T.zero, T + 2, QQ_T.zero],
          [QQ_T.zero, QQ_T.zero, QQ_T.one]]
@@ -73,7 +104,7 @@ def test_span_and_membership():
     assert linalg.in_span(vs, [F(0), F(0), F(1)], QQ) is None
 
 
-# -- the integer kernel for Q against the generic loop and sympy -------------
+# -- the fraction-free rref against the textbook loop and sympy -------------
 
 entries = st.one_of(
     st.just(F(0)),
@@ -82,16 +113,16 @@ entries = st.one_of(
 
 
 @st.composite
-def rational_matrices(draw, shape=None):
-    """Q matrices (up to 8x10 unless shape is given) with mixed denominators;
-    extra rows are zero rows or combinations of earlier rows, shuffled in,
-    so ranks fall short."""
-    nrows, ncols = shape or (draw(st.integers(1, 8)), draw(st.integers(1, 10)))
+def matrices(draw, entries, zero, shape):
+    """Matrices over one field with entries drawn from entries; rows past
+    the first drawn ones are zero rows or combinations of earlier rows,
+    shuffled in, so ranks fall short."""
+    nrows, ncols = draw(shape)
     row = st.lists(entries, min_size=ncols, max_size=ncols)
     rows = draw(st.lists(row, min_size=1, max_size=nrows))
     while len(rows) < nrows:
         if draw(st.booleans()):
-            rows.append([F(0)] * ncols)
+            rows.append([zero] * ncols)
         else:
             a, b = draw(st.lists(st.sampled_from(rows), min_size=2, max_size=2))
             x, y = draw(entries), draw(entries)
@@ -99,15 +130,24 @@ def rational_matrices(draw, shape=None):
     return draw(st.permutations(rows))
 
 
+def rational_matrices(shape=st.tuples(st.integers(1, 8), st.integers(1, 10))):
+    """Q matrices (up to 8x10 by default) with mixed denominators."""
+    return matrices(entries, F(0), shape)
+
+
+def square(matrices_of_shape, max_n):
+    return matrices_of_shape(st.integers(1, max_n).map(lambda n: (n, n)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(rational_matrices())
 def test_integer_rref_matches_generic_loop(m):
-    # over Q the generic loop divides through QQ.div and stores integral
-    # results as int, so it returns the integer kernel's matrix entry for
-    # entry, type included
-    generic = linalg._rref_generic(m, QQ)
+    # over Q the textbook loop divides through QQ.div and stores integral
+    # results as int, so it returns the fraction-free loop's matrix entry
+    # for entry, type included
+    generic = textbook_rref(m, QQ)
     assert linalg.rref(m, QQ) == generic
-    assert [[type(x) for x in row] for row in linalg._rref_integer(m)[0]] == \
+    assert [[type(x) for x in row] for row in linalg.rref(m, QQ)[0]] == \
         [[type(x) for x in row] for row in generic[0]]
 
 
@@ -135,7 +175,7 @@ def test_rref_rank_and_nullspace_match_sympy(m):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda n: rational_matrices((n, n))))
+@given(square(rational_matrices, 6))
 def test_inverse_matches_sympy(m):
     sympy = pytest.importorskip("sympy")
     sm = _sympy_matrix(sympy, m)
@@ -150,5 +190,91 @@ def test_t_series_derivations_identical_under_generic_loop(monkeypatch):
     samples = t_series_samples()
     assert len(samples) == 70
     fast = [pair_derivations(pair).basis for _, _, pair in samples]
-    monkeypatch.setattr(linalg, "rref", linalg._rref_generic)
+    monkeypatch.setattr(linalg, "rref", textbook_rref)
     assert [pair_derivations(pair).basis for _, _, pair in samples] == fast
+
+
+# -- the fraction-free rref over Q(t) against the textbook loop and sympy ----
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+nonzero_small = small.filter(bool)
+
+
+@st.composite
+def qt_entries(draw):
+    """Zero, a monomial c*t^k (k may be negative), a polynomial, or a
+    quotient whose denominator is not a power of t, such as (1 + t)/(2 - t)."""
+    kind = draw(st.sampled_from(["zero", "monomial", "polynomial", "quotient"]))
+    if kind == "zero":
+        return QQ_T.zero
+    if kind == "monomial":
+        c, k = draw(nonzero_small), draw(st.integers(-2, 2))
+        return RatFunc([0] * k + [c]) if k >= 0 else RatFunc([c], [0] * -k + [1])
+    num = draw(st.lists(small, min_size=1, max_size=3))
+    if kind == "polynomial":
+        return RatFunc(num)
+    return RatFunc(num, [draw(nonzero_small), draw(nonzero_small)])
+
+
+def qt_matrices(shape=st.tuples(st.integers(1, 4), st.integers(1, 5))):
+    return matrices(qt_entries(), QQ_T.zero, shape)
+
+
+def _inv_or_none(m, field):
+    try:
+        return linalg.inv(m, field)
+    except SingularMatrix:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(qt_matrices(), square(qt_matrices, 4))
+def test_qt_elimination_matches_textbook_loop(m, sq):
+    red, pivots = linalg.rref(m, QQ_T)
+    assert all(type(x) is RatFunc for row in red for x in row)
+    ncols = len(m[0])
+    answers = (linalg.rank(m, QQ_T), linalg.nullspace(m, ncols, QQ_T), _inv_or_none(sq, QQ_T))
+    with mock.patch.object(linalg, "rref", textbook_rref):
+        assert (red, pivots) == linalg.rref(m, QQ_T)
+        assert answers == (linalg.rank(m, QQ_T), linalg.nullspace(m, ncols, QQ_T),
+                           _inv_or_none(sq, QQ_T))
+    assert answers[0] == len(pivots) == ncols - len(answers[1])
+    assert all(not any(linalg.mat_vec(m, v)) for v in answers[1])
+    if answers[2] is not None:
+        assert linalg.mat_mul(sq, answers[2]) == linalg.identity(len(sq), QQ_T)
+
+
+def _sympy_ratfunc(sympy, t, x):
+    def poly(cs):
+        return sum(sympy.Rational(c.numerator, c.denominator) * t**i for i, c in enumerate(cs))
+    return poly(x.num) / poly(x.den)
+
+
+@settings(max_examples=40, deadline=None)
+@given(qt_matrices())
+def test_qt_rref_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    t = sympy.Symbol("t")
+    dm = DomainMatrix.from_Matrix(
+        sympy.Matrix([[_sympy_ratfunc(sympy, t, x) for x in r] for r in m])).to_field()
+    red, pivots = dm.rref()
+    ours, our_pivots = linalg.rref(m, QQ_T)
+    assert our_pivots == list(pivots)
+    assert linalg.rank(m, QQ_T) == dm.rank()
+    k = dm.domain
+    assert [[k.from_sympy(_sympy_ratfunc(sympy, t, x)) for x in row] for row in ours] == \
+        red.to_list()
+
+@pytest.mark.parametrize("op", [
+    lambda f: linalg.inv([[2, 0], [0, 1]], f),
+    lambda f: [[linalg.det([[2, 1], [1, 1]], f)]],
+    lambda f: linalg.nullspace([[2, 1]], 2, f),
+    lambda f: [linalg.solve([[2, 1]], [1], f)],
+], ids=["inv", "det", "nullspace", "solve"])
+def test_qt_answers_on_rational_entries_equal_q_answers(op):
+    # QQ_T.div lifts the dividend, so two plain rationals divide to a RatFunc
+    ours = op(QQ_T)
+    assert ours == op(QQ)
+    assert all(type(x) is RatFunc for row in ours for x in row)
