@@ -101,6 +101,21 @@ class StructureConstants:
     def is_zero(self):
         return not self.entries
 
+    @cached_property
+    def primitive(self):
+        """The integer normal form: over Q, this tensor with its denominators
+        cleared and its content divided out (all entries ``int``, gcd 1); a
+        Q(t), zero or primitive tensor is its own.  No question the package
+        decides changes under a nonzero rational scale, so those questions
+        read this form; residuals, derived brackets and transports never do."""
+        if self.field is not QQ or not self.entries:
+            return self
+        flat = flatten(self.c)
+        ints = linalg._primitive(linalg._integral(flat))
+        if ints == flat:
+            return self
+        return StructureConstants(self.dim, QQ, unflatten(ints, self.dim, 3))
+
 
 @dataclass(frozen=True)
 class AlgebraPair:
@@ -110,6 +125,13 @@ class AlgebraPair:
     def __post_init__(self):
         if self.mul.dim != self.bracket.dim:
             raise DimensionMismatch("pair components have different dimensions")
+
+    @cached_property
+    def primitive(self):
+        """Both components in their integer normal form (each scaled by its
+        own factor; see ``StructureConstants.primitive``)."""
+        mul, br = self.mul.primitive, self.bracket.primitive
+        return self if mul is self.mul and br is self.bracket else AlgebraPair(mul, br)
 
     @property
     def dim(self):
@@ -318,22 +340,26 @@ def check_identity(pair, which):
 
 
 def is_lie(sc):
+    sc = sc.primitive
     pair = AlgebraPair(StructureConstants.zero(sc.dim, sc.field), sc)
     return check_identity(pair, "anticommutative").holds and check_identity(pair, "jacobi").holds
 
 
 def is_commutative_associative(sc):
+    sc = sc.primitive
     pair = AlgebraPair(sc, StructureConstants.zero(sc.dim, sc.field))
     return check_identity(pair, "commutative").holds and check_identity(pair, "associative").holds
 
 
 def is_transposed_poisson(pair):
     """Commutative + associative + anticommutative + Jacobi + transposed rule."""
+    pair = pair.primitive
     return all(check_identity(pair, w).holds for w in TRANSPOSED_POISSON_AXIOMS)
 
 
 def is_poisson(pair):
     """The classical compatibility: base identities plus the Leibniz rule."""
+    pair = pair.primitive
     return all(check_identity(pair, w).holds for w in POISSON_AXIOMS)
 
 

@@ -81,9 +81,10 @@ class SolutionSpace:
 def delta_derivations(sc, delta):
     """All phi with phi(x*y) = delta (phi(x)*y + x*phi(y)); delta = 1 gives
     ordinary derivations, delta = 1/2 the half-derivations."""
+    sc = sc.primitive
     n = sc.dim
     # the rows times the denominator q of delta: the same nullspace, and
-    # integer rows for an integer tensor
+    # integer rows, since the normal form is an integer tensor
     q = Fraction(delta).denominator
     rows = [r for r in _map_rows(sc, q, -q * delta, -q * delta) if any(r)]
     return SolutionSpace(n, 2, tuple(map(tuple, linalg.nullspace(rows, n * n, sc.field))),
@@ -98,6 +99,7 @@ def derivation_residual(sc, mat, delta):
 
 def pair_derivations(pair):
     """Joint 1-derivations of both components of a pair."""
+    pair = pair.primitive
     n = pair.dim
     rows = [r for sc in (pair.mul, pair.bracket) for r in _map_rows(sc, 1, -1, -1) if any(r)]
     return SolutionSpace(n, 2, tuple(map(tuple, linalg.nullspace(rows, n * n, pair.field))),
@@ -128,6 +130,7 @@ def half_biderivations(bracket, symmetric=True):
     a Lie bracket (raises NotALieAlgebra otherwise): symmetric associative
     members of this space are exactly the transposed Poisson products on it.
     """
+    bracket = bracket.primitive
     if not is_lie(bracket):
         raise NotALieAlgebra("half-biderivations require an anticommutative Jacobi bracket")
     n = bracket.dim

@@ -83,6 +83,7 @@ def derivation_matching_bracket(mul, bracket):
 def is_strong_d_special(pair):
     """Linear feasibility: does some derivation of the pair's own product
     induce exactly its bracket?"""
+    pair = pair.primitive
     return derivation_matching_bracket(pair.mul, pair.bracket) is not None
 
 

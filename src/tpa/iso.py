@@ -69,6 +69,7 @@ def _has_unit(sc):
 
 def fingerprint(pair):
     """The ``Fingerprint`` of a pair."""
+    pair = pair.primitive
     mul, br = pair.mul, pair.bracket
     field = pair.field
     sq, brs = _product_vectors(mul), _product_vectors(br)

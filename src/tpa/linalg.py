@@ -174,23 +174,29 @@ def inv(a, field):
 
 
 def det(a, field):
+    """Determinant by Bareiss's fraction-free elimination (Math. Comp. 22
+    (1968)): each step replaces the entry (i, j) below and right of the
+    pivot by the 2x2 minor pivot*m[i][j] - m[i][c]*m[c][j] divided
+    exactly, through ``field.div``, by the previous pivot.  Every entry is
+    then a minor of ``a``, so integer matrices stay integer and Laurent
+    entries stay Laurent; the last pivot is the determinant."""
     n = len(a)
     m = [list(r) for r in a]
-    out = field.one
+    sign, prev = 1, field.one
     for c in range(n):
         pivot = next((i for i in range(c, n) if m[i][c]), None)
         if pivot is None:
             return field.zero
         if pivot != c:
             m[c], m[pivot] = m[pivot], m[c]
-            out = -out
-        out = out * m[c][c]
-        pv = m[c][c]
+            sign = -sign
+        pv, prow = m[c][c], m[c]
         for i in range(c + 1, n):
-            if m[i][c]:
-                f = field.div(m[i][c], pv)
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return field.coerce(out)
+            row, x = m[i], m[i][c]
+            new = [pv * row[j] - x * prow[j] for j in range(c + 1, n)]
+            m[i][c + 1:] = [field.div(v, prev) for v in new] if c else new
+        prev = pv
+    return field.coerce(prev if sign > 0 else -prev)
 
 
 def span_dim(vectors, field):

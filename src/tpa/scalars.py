@@ -297,8 +297,11 @@ def _cofactors(a, b):
     base xi.  For xi >= 2*min(|a|, |b|) + 2 the primitive part of that
     polynomial is the gcd when it divides both exactly (Geddes, Czapor and
     Labahn, Algorithms for Computer Algebra, Thm 7.7); otherwise xi grows,
-    and for xi large enough it always does divide both."""
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    and for xi large enough it always does divide both.  xi starts at
+    2*min + 29, as sympy's ``dup_zz_heu_gcd`` does: near the smallest
+    certified point the integer gcd often carries a spurious factor and
+    the certification fails."""
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
     while True:
         h = math.gcd(_peval(a, xi), _peval(b, xi))
         g = []

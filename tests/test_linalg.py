@@ -41,6 +41,29 @@ def textbook_rref(rows, field):
     return [[field.coerce(x) for x in row] for row in m], pivots
 
 
+def dividing_det(a, field):
+    """The dividing forward loop ``linalg.det`` ran before Bareiss: each
+    row below the pivot loses its multiple pivot_row * (entry / pivot).
+    The reference for the fraction-free ``linalg.det``."""
+    n = len(a)
+    m = [list(r) for r in a]
+    out = field.one
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c]), None)
+        if pivot is None:
+            return field.zero
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            out = -out
+        out = out * m[c][c]
+        pv = m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c]:
+                f = field.div(m[i][c], pv)
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return field.coerce(out)
+
+
 def test_rref_and_rank():
     m = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]
     red, pivots = linalg.rref(m, QQ)
@@ -174,6 +197,18 @@ def test_rref_rank_and_nullspace_match_sympy(m):
     assert ours == [[x / next(y for y in v if y) for x in v] for v in theirs]
 
 
+@settings(max_examples=150, deadline=None)
+@given(square(rational_matrices, 5))
+def test_det_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    ours = linalg.det(m, QQ)
+    assert ours == _from_sympy(_sympy_matrix(sympy, m).det())
+    assert type(ours) is (int if ours.denominator == 1 else F)
+    # an integer matrix keeps every Bareiss entry an integer minor
+    ints = [[x.numerator for x in row] for row in m]
+    assert type(linalg.det(ints, QQ)) is int
+
+
 @settings(max_examples=60, deadline=None)
 @given(square(rational_matrices, 6))
 def test_inverse_matches_sympy(m):
@@ -248,6 +283,33 @@ def _sympy_ratfunc(sympy, t, x):
     def poly(cs):
         return sum(sympy.Rational(c.numerator, c.denominator) * t**i for i, c in enumerate(cs))
     return poly(x.num) / poly(x.den)
+
+
+@settings(max_examples=80, deadline=None)
+@given(square(qt_matrices, 4))
+def test_qt_det_matches_dividing_loop(m):
+    ours = linalg.det(m, QQ_T)
+    assert type(ours) is RatFunc
+    assert ours == dividing_det(m, QQ_T)
+
+
+def test_laurent_det_stays_laurent():
+    # exact division by the previous pivot: every entry is a minor, so a
+    # Laurent matrix never forms a quotient by a non-monomial
+    from tpa.scalars import _tpow
+
+    g = [[T, 1 + T, 0], [1 / T, T + 2, T * T], [1, 3 * T, 1 - T]]
+    g = [[QQ_T.coerce(x) for x in row] for row in g]
+    quotients = []
+
+    def div(a, b):
+        quotients.append(QQ_T.__class__.div(a, b))
+        return quotients[-1]
+
+    with mock.patch.object(QQ_T, "div", div):
+        d = linalg.det(g, QQ_T)
+    assert d == dividing_det(g, QQ_T)
+    assert quotients and all(_tpow(q.den) is not None for q in quotients)
 
 
 @settings(max_examples=40, deadline=None)

@@ -435,11 +435,12 @@ def test_cofactors_match_sympy(pair):
 
 
 def test_cofactors_retry_after_failed_certification(monkeypatch):
-    a, b = [-1, 1], [3, 2, 2, -1]  # -1 + t and 3 + 2t + 2t^2 - t^3, coprime
-    xi = 2 * min(1, 3) + 2
-    assert (_peval(a, xi), _peval(b, xi), math.gcd(_peval(a, xi), _peval(b, xi))) == (3, -21, 3)
-    # 3 = -1 + 1*4 in balanced base 4: the candidate t - 1 divides a but not b
-    assert _exquo(a, [-1, 1]) == [1] and _exquo(b, [-1, 1]) is None
+    a, b = [-3, 1], [2, 1, 3]  # -3 + t and 2 + t + 3t^2, coprime
+    xi = 2 * min(3, 3) + 29  # the starting point
+    assert (_peval(a, xi), _peval(b, xi), math.gcd(_peval(a, xi), _peval(b, xi))) == \
+        (32, 3712, 32)
+    # 32 = -3 + 1*35 in balanced base 35: the candidate t - 3 divides a but not b
+    assert _exquo(a, [-3, 1]) == [1] and _exquo(b, [-3, 1]) is None
     tried = []
 
     def exquo(p, g):
@@ -447,5 +448,5 @@ def test_cofactors_retry_after_failed_certification(monkeypatch):
         return _exquo(p, g)
     monkeypatch.setattr(tpa.scalars, "_exquo", exquo)
     assert _cofactors(a, b) == (a, b)
-    assert tried == [(a, [-1, 1]), (b, [-1, 1])]
+    assert tried == [(a, [-3, 1]), (b, [-3, 1])]
     _assert_reduces_to(RatFunc(a, b), a, b)
