@@ -27,7 +27,7 @@ from functools import cached_property
 
 from . import linalg
 from .linalg import DimensionMismatch
-from .scalars import QQ, QQ_T, limit_at_zero
+from .scalars import QQ, QQ_T, _integral, limit_at_zero
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ class StructureConstants:
         if self.field is not QQ or not self.entries:
             return self
         flat = flatten(self.c)
-        ints = linalg._primitive(linalg._integral(flat))
+        ints = _integral(flat)[2]
         if ints == flat:
             return self
         return StructureConstants(self.dim, QQ, unflatten(ints, self.dim, 3))

@@ -156,8 +156,8 @@ def verify_instance(inst, index=0):
         samples = inst.t_samples()
         if not samples:
             raise ValueError(f"row {inst.row}: no rational sample of the source parameters")
-        tgt = catalog_fingerprint(*inst.target)
-        srcs = [catalog_fingerprint(inst.source[0], p) for p in samples]
+        tgt = catalog_fingerprint(target)
+        srcs = [catalog_fingerprint(instantiate(inst.source[0], p)) for p in samples]
         report.der_dims = {"source_at_samples": [s.dim_der_pair for s in srcs],
                            "target": tgt.dim_der_pair}
         per_sample = [necessary_checks(s, tgt, report.family_source) for s in srcs]

@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 from . import linalg
 from .algebra import operator_matrix, pairs_equal, transport
-from .catalog import instantiate
 from .derivations import delta_derivations, pair_derivations
 from .linalg import DimensionMismatch, SingularMatrix
 
@@ -93,13 +92,19 @@ def fingerprint(pair):
     )
 
 
-@functools.lru_cache(maxsize=256)
-def catalog_fingerprint(id, params=()):
-    """``fingerprint(instantiate(id, params))``, computed once per catalog
-    key; ``params`` is a tuple, and equal values (``2`` and
-    ``Fraction(2)``) share one entry.  256 covers the 182 distinct keys of
-    one ``verify-paper`` run."""
-    return fingerprint(instantiate(id, params))
+def catalog_fingerprint(pair):
+    """``fingerprint(pair)``, computed once per integer normal form, so pairs
+    that differ only by a scale of either component share one record."""
+    return _fingerprint_of_primitive(pair.primitive)
+
+
+@functools.cache
+def _fingerprint_of_primitive(primitive):
+    return fingerprint(primitive)  # by name, so a wrapper on iso.fingerprint sees each miss
+
+
+catalog_fingerprint.cache_info = _fingerprint_of_primitive.cache_info
+catalog_fingerprint.cache_clear = _fingerprint_of_primitive.cache_clear
 
 
 def distinguish(a, b):

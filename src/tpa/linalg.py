@@ -16,9 +16,9 @@ one reduced row echelon form either way.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
-from .scalars import QQ
+from .scalars import QQ, _integral
 
 
 class SingularMatrix(ValueError):
@@ -65,12 +65,8 @@ def rref(rows, field):
     textbook loop (normalise the pivot, then subtract) would hold, so the
     pivots and the reduced form are the same.  Zero rows change neither,
     so they are set aside first and come back as the bottom rows."""
-    if field is QQ:
-        m = [_primitive(_integral(row)) for row in rows if any(row)]
-        step = _integer_step
-    else:
-        m = [list(row) for row in rows if any(row)]
-        step = _field_step
+    m = [_integral(row)[2] if field is QQ else list(row) for row in rows if any(row)]
+    step = _integer_step if field is QQ else _field_step
     ncols = len(rows[0]) if rows else 0
     pivots = []
     r = 0
@@ -90,12 +86,6 @@ def rref(rows, field):
     div, zero = field.div, field.zero
     red = [[div(x, row[c]) if x else zero for x in row] for row, c in zip(m, pivots)]
     return red + [[zero] * ncols for _ in range(len(rows) - r)], pivots
-
-
-def _integral(row):
-    """A row of Q values times the lcm of its denominators: all int."""
-    den = lcm(*(x.denominator for x in row))
-    return [x.numerator * (den // x.denominator) for x in row]
 
 
 def _primitive(row):

@@ -283,11 +283,12 @@ def _reduced(num, den):
 
 
 def _integral(cs):
-    """(p, q, a) with cs = (p/q) * a for a primitive integer polynomial a."""
+    """(p, q, a) with cs = (p/q) * a for a primitive integer vector a: the one
+    place where Q values become content times a primitive integer vector."""
     q = math.lcm(*(1 if type(c) is int else c.denominator for c in cs))
     a = [c * q if type(c) is int else c.numerator * (q // c.denominator) for c in cs]
     p = math.gcd(*a)
-    return p, q, [x // p for x in a] if p != 1 else a
+    return p, q, [x // p for x in a] if p > 1 else a
 
 
 def _cofactors(a, b):
@@ -380,7 +381,10 @@ def parse_rational(s):
     s = s.strip()
     if not _RAT_RE.match(s):
         raise ScalarParseError(f"not a rational: {s!r}")
-    return _normal(Fraction(s))
+    try:
+        return _normal(Fraction(s))
+    except ValueError as exc:  # past the interpreter's integer digit limit
+        raise ScalarParseError(f"rational of {len(s)} characters is too long") from exc
 
 
 def _parse_terms(s):
@@ -402,7 +406,7 @@ def _parse_terms(s):
         m = _TERM_RE.match(term)
         if not m or (m.group("coef") is None and m.group("t") is None):
             raise ScalarParseError(f"bad term {term!r} in {s!r}")
-        coef = Fraction(m.group("coef") or 1)
+        coef = parse_rational(m.group("coef") or "1")
         if m.group("sign") == "-":
             coef = -coef
         exp = 0
@@ -410,18 +414,16 @@ def _parse_terms(s):
             exp = int(m.group("exp") or 1)
             if abs(exp) > MAX_T_EXPONENT:
                 raise ScalarParseError(f"exponent of t beyond ±{MAX_T_EXPONENT} in {s!r}")
-        out[exp] = out.get(exp, Fraction(0)) + coef
+        out[exp] = out.get(exp, 0) + coef
     return out
 
 
 def _terms_to_ratfunc(terms):
     shift = min(0, min(terms))
-    num = [Fraction(0)] * (max(terms) - shift + 1)
+    num = [0] * (max(terms) - shift + 1)
     for e, c in terms.items():
         num[e - shift] = c
-    den = [Fraction(0)] * (1 - shift)
-    den[-1] = Fraction(1)  # t^{-shift}
-    return RatFunc(num, den)
+    return RatFunc(num, [0] * -shift + [1])  # over t^{-shift}
 
 
 def _quotient(num, den):

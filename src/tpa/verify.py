@@ -271,7 +271,7 @@ def claim_witnesses():
             failures.append({"name": w.name,
                              "source": [w.source[0], [str(p) for p in w.source[1]]],
                              "target": [w.target[0], [str(p) for p in w.target[1]]]})
-        elif catalog_fingerprint(*w.source) != catalog_fingerprint(*w.target):
+        elif catalog_fingerprint(a) != catalog_fingerprint(b):
             fp_mismatch.append(w.name)
     ok = not failures and not fp_mismatch
     return _claim("isomorphism-witnesses", ok, count=len(witnesses),
@@ -424,9 +424,9 @@ def rigidity_audit(reports):
     verified_targets = {rep.target for rep in reports if rep.verified}
     open_list = []
     table_hits = []
-    members = [(mid, mp, catalog_fingerprint(mid, mp))
+    members = [(mid, mp, catalog_fingerprint(instantiate(mid, mp)))
                for mid, mp in degeneration.rigid_component_members()]
-    sources = [(sid, sp, catalog_fingerprint(sid, sp)) for sid, sp, _ in t_series_samples()]
+    sources = [(sid, sp, catalog_fingerprint(pair)) for sid, sp, pair in t_series_samples()]
     for sid, sparams, sinv in sources:
         for mid, mparams, minv in members:
             if sid == mid:
@@ -534,7 +534,7 @@ def separation_audit():
     """Pairwise `distinguish` over the sampled T-series.  Unseparated pairs
     must stay within one parametric family, up to SEPARATION_EXCEPTIONS."""
     samples = t_series_samples()
-    prints = [(tid, params, catalog_fingerprint(tid, params)) for tid, params, _ in samples]
+    prints = [(tid, params, catalog_fingerprint(pair)) for tid, params, pair in samples]
     cross_family = []
     same_family = 0
     for i in range(len(prints)):

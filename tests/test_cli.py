@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -256,6 +257,26 @@ def test_malformed_input_exit_2(tmp_path, capsys, command, files):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
+def _digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _digit_limit(), reason="no integer digit limit")
+@pytest.mark.parametrize("argv, flag", [
+    (["check", "--id", "T03", "--beta"], "beta"),
+    (["check", "--id", "g2", "--alpha"], "alpha"),
+    (["der", "--lie", "g2", "--alpha", "1", "--delta"], "delta"),
+], ids=["beta", "alpha", "delta"])
+def test_parameter_beyond_digit_limit_exit_2(capsys, argv, flag):
+    # Fraction's ValueError past the digit limit is a parse error, not a
+    # failed verification
+    assert main(argv + ["1" * (_digit_limit() + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bad rational for --{flag}" in captured.err
     assert "Traceback" not in captured.err
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from tpa import iso
 from tpa.algebra import AlgebraPair, StructureConstants
 from tpa.catalog import instantiate, known_isomorphisms, t_series_samples
 from tpa.iso import catalog_fingerprint, distinguish, fingerprint, verify_witness
@@ -110,19 +111,60 @@ def test_t11_t12_blind_spot_is_real():
 
 
 def test_catalog_fingerprint_is_fingerprint_of_instance():
-    keys = [(tid, params) for tid, params, _ in t_series_samples()]
+    pairs = [pair for _, _, pair in t_series_samples()]
     for w in known_isomorphisms():
-        keys += [w.source, w.target]
-    assert len(keys) == 70 + 2 * 76
-    for tid, params in keys:
-        assert catalog_fingerprint(tid, params) == fingerprint(instantiate(tid, params))
+        pairs += [instantiate(*w.source), instantiate(*w.target)]
+    assert len(pairs) == 70 + 2 * 76
+    for pair in pairs:
+        assert catalog_fingerprint(pair) == fingerprint(pair)
 
 
 def test_catalog_fingerprint_keys_by_value():
     catalog_fingerprint.cache_clear()
-    assert catalog_fingerprint("T03", (2,)) == catalog_fingerprint("T03", (F(2),))
+    assert (catalog_fingerprint(instantiate("T03", (2,)))
+            == catalog_fingerprint(instantiate("T03", (F(2),))))
     info = catalog_fingerprint.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+#: sampled catalog keys whose pairs differ only by a scale of the product
+#: or of the bracket, grouped by their shared integer normal form
+SCALED_GROUPS = [
+    [("T03", (1,)), ("T03", (2,)), ("T03", (4,))],
+    [("T03", (-1,)), ("T03", (-3,))],
+    [("T07", (1,)), ("T07", (2,))],
+    [("T19", (1,)), ("T19", (2,)), ("T19", (F(1, 2),))],
+]
+
+
+def test_scaled_keys_share_one_record():
+    catalog_fingerprint.cache_clear()
+    for group in SCALED_GROUPS:
+        misses = catalog_fingerprint.cache_info().misses
+        prints = {catalog_fingerprint(instantiate(*key)) for key in group}
+        assert len(prints) == 1
+        assert catalog_fingerprint.cache_info().misses == misses + 1
+    assert catalog_fingerprint.cache_info().currsize == len(SCALED_GROUPS)
+
+
+def test_fingerprint_runs_once_per_normal_form(monkeypatch):
+    # the memo calls iso.fingerprint by name, so a wrapper bound there (as
+    # the benchmark's tracer binds one) sees every miss and no hit
+    calls = []
+
+    def counted(pair):
+        calls.append(pair)
+        return fingerprint(pair)
+
+    monkeypatch.setattr(iso, "fingerprint", counted)
+    catalog_fingerprint.cache_clear()
+    pairs = [pair for _, _, pair in t_series_samples()]
+    for pair in pairs + pairs:
+        catalog_fingerprint(pair)
+    forms = {pair.primitive for pair in pairs}
+    assert len(forms) == 64
+    assert len(calls) == len(forms)
+    assert set(calls) == forms
 
 
 def test_audits_share_fingerprints():

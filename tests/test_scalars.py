@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -130,6 +131,19 @@ def test_t_exponent_bounded(text):
     # an unbounded exponent would make the parser allocate a list of that length
     with pytest.raises(ScalarParseError):
         parse_ratfunc(text)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no integer digit limit")
+@pytest.mark.parametrize("template", ["{}", "1/{}", "{}*t + 1", "t/{}"])
+def test_coefficient_beyond_digit_limit(template):
+    # Fraction raises a plain ValueError past the interpreter's digit limit
+    text = template.format("1" * (sys.get_int_max_str_digits() + 1))
+    with pytest.raises(ScalarParseError):
+        parse_ratfunc(text)
+    if "t" not in text:
+        with pytest.raises(ScalarParseError):
+            parse_rational(text)
 
 
 def test_t_exponent_at_bound():
