@@ -263,81 +263,12 @@ class IsoWitness:
     matrix: tuple  # rows
 
 
-def _w(name, source, target, cols):
-    return IsoWitness(name, source, target, tuple(zip(*cols)))
+_INVERTIBLE = (F(2), F(3), F(-1), F(1, 2), F(5))  # a != 0, 1
 
 
-def _t03_sign(b):
-    return _w("T03 sign flip", ("T03", (b,)), ("T03", (-b,)),
-              [(0, 1, 0), (1, 0, 0), (0, 0, -1)])
-
-
-def _t09_inversion(a, b):
-    # verifies as transport(T09^{1/a, b/a}, M) == T09^{a, b}
-    m = [(F(1) / (a - 1), 0, 0), (1, QQ.div(a, a - 1), 0), (0, 0, a)]
-    return _w("T09 parameter inversion", ("T09", (F(1) / a, QQ.div(b, a))), ("T09", (a, b)), m)
-
-
-def _g2_inversion(a):
-    m = [(F(1) / (a - 1), 0, 0), (1, QQ.div(a, a - 1), 0), (0, 0, a)]
-    return _w("g2 parameter inversion", ("g2", (F(1) / a,)), ("g2", (a,)), m)
-
-
-def _t11_inversion(b):
-    m = [(b * b, 0, 0), ((b - 1) * b * b, b ** 3, 0), (0, 0, b)]
-    return _w("T11 parameter inversion", ("T11", (F(1) / b,)), ("T11", (b,)), m)
-
-
-def _t10s_to_t10(b):
-    m = [(F(1) / b, 0, 0), (QQ.div(1 - b, b ** 2), F(1) / b ** 2, 0), (0, 0, F(1) / b)]
-    return _w("T10* normal form", ("T10s", (b,)), ("T10", (F(1) / b,)), m)
-
-
-def _d01_to_t17(a):
-    m = [(0, -1, 1), (0, 1, 0), (-F(1) / a, -F(1) / a, 0)]
-    return _w("D01 ~ T17", ("D01", (a,)), ("T17", (-F(1) / a,)), m)
-
-
-def _da02_zero_to_t05(b):
-    # table prints E3 = -b^2 e3; the verifying change needs +b^2 e3
-    m = [(0, -b, 0), (1, 0, 0), (0, 0, b * b)]
-    return _w("A02-family ~ T05", ("DA02", (F(0), b)), ("T05", ()), m)
-
-
-def _da02_to_t12(a, b):
-    m = [(0, 1, 1 - QQ.div(b, a)), (0, 0, 1), (-F(1) / a, 0, 0)]
-    return _w("A02-family ~ T12", ("DA02", (a, b)), ("T12", (-F(1) / a,)), m)
-
-
-def _d04_to_t06():
-    return _w("D04 ~ T06", ("D04", ()), ("T06", ()),
-              [(0, 1, 0), (1, 0, 0), (0, 0, -1)])
-
-
-def _d05_to_t07(a):
-    m = [(0, 1, 0), (0, 0, 1), (-F(1) / a, 0, 0)]
-    return _w("D05 ~ T07", ("D05", (a,)), ("T07", (-F(1) / a,)), m)
-
-
-def _d06_to_t09(a, b):
-    # a != b, both nonzero
-    m = [(0, 0, a), (0, b, b - a), (-F(1) / a, 0, 0)]
-    return _w("D06 ~ T09", ("D06", (a, b)), ("T09", (QQ.div(b, a), -F(1) / a)), m)
-
-
-def _d06b_to_t19(a):
-    m = [(0, 1, -1), (0, 0, 1), (-F(1) / a, 0, 0)]
-    return _w("D06b ~ T19", ("D06b", (a,)), ("T19", (-F(1) / a,)), m)
-
-
-def _d07_to_t04(a):
-    m = [(0, 1, 0), (1, 0, 0), (0, 0, -a)]
-    return _w("D07 ~ T04", ("D07", (a,)), ("T04", (-F(1) / a,)), m)
-
-
-def _d08_to_t03(e):
-    m = [(0, 1, 0), (1, 0, 0), (0, 0, -e)]
-    return _w("D08 ~ T03", ("D08", (e,)), ("T03", (-F(1) / e,)), m)
+def _inversion_basis(a):
+    # g2^{1/a} ~ g2^a; T09's scaling product follows it from beta/a to beta
+    return [(F(1) / (a - 1), 0, 0), (1, QQ.div(a, a - 1), 0), (0, 0, a)]
 
 
 def _d06_swap(a, b):
@@ -349,43 +280,53 @@ def _d06_swap(a, b):
         cols = [(1, 0, 0), (0, 1, 1), (0, 1, 0)]
     else:
         cols = [(1, 0, 0), (0, b, b - a), (0, 0, a)]
-    return _w("D06 parameter swap", ("D06", (a, b)), ("D06", (b, a)), cols)
+    return ("D06", (a, b)), ("D06", (b, a)), cols
 
 
-def _d08_negation(a):
-    return _w("D08 negation", ("D08", (a,)), ("D08", (-a,)),
-              [(0, 1, 0), (1, 0, 0), (0, 0, 1)])
+#: one record per change of basis: its name, its parameter samples, and the
+#: map from a sample to (source key, target key, basis columns)
+WITNESS_FAMILIES = (
+    ("T03 sign flip", ((F(1),), (F(2),), (F(-3),), (F(1, 2),)), lambda b: (
+        ("T03", (b,)), ("T03", (-b,)), [(0, 1, 0), (1, 0, 0), (0, 0, -1)])),
+    ("T09 parameter inversion", tuple((a, b) for a in _INVERTIBLE for b in (F(0), F(1), F(-2))),
+     lambda a, b: (("T09", (F(1) / a, QQ.div(b, a))), ("T09", (a, b)), _inversion_basis(a))),
+    ("g2 parameter inversion", tuple((a,) for a in _INVERTIBLE), lambda a: (
+        ("g2", (F(1) / a,)), ("g2", (a,)), _inversion_basis(a))),
+    ("T11 parameter inversion", ((F(2),), (F(3),), (F(-1),), (F(1, 2),)), lambda b: (
+        ("T11", (F(1) / b,)), ("T11", (b,)),
+        [(b * b, 0, 0), ((b - 1) * b * b, b ** 3, 0), (0, 0, b)])),
+    ("T10* normal form", CATALOG["T10s"].samples, lambda b: (
+        ("T10s", (b,)), ("T10", (F(1) / b,)),
+        [(F(1) / b, 0, 0), (QQ.div(1 - b, b ** 2), F(1) / b ** 2, 0), (0, 0, F(1) / b)])),
+    ("D01 ~ T17", CATALOG["D01"].samples, lambda a: (
+        ("D01", (a,)), ("T17", (-F(1) / a,)), [(0, -1, 1), (0, 1, 0), (-F(1) / a, -F(1) / a, 0)])),
+    ("D05 ~ T07", CATALOG["D05"].samples, lambda a: (
+        ("D05", (a,)), ("T07", (-F(1) / a,)), [(0, 1, 0), (0, 0, 1), (-F(1) / a, 0, 0)])),
+    ("D06b ~ T19", CATALOG["D06b"].samples, lambda a: (
+        ("D06b", (a,)), ("T19", (-F(1) / a,)), [(0, 1, -1), (0, 0, 1), (-F(1) / a, 0, 0)])),
+    ("D07 ~ T04", CATALOG["D07"].samples, lambda a: (
+        ("D07", (a,)), ("T04", (-F(1) / a,)), [(0, 1, 0), (1, 0, 0), (0, 0, -a)])),
+    ("D08 ~ T03", CATALOG["D08"].samples, lambda e: (
+        ("D08", (e,)), ("T03", (-F(1) / e,)), [(0, 1, 0), (1, 0, 0), (0, 0, -e)])),
+    ("D08 negation", CATALOG["D08"].samples, lambda a: (
+        ("D08", (a,)), ("D08", (-a,)), [(0, 1, 0), (1, 0, 0), (0, 0, 1)])),
+    # the table prints E3 = -b^2 e3; the verifying change needs +b^2 e3
+    ("A02-family ~ T05", ((F(1),), (F(2),), (F(-1),), (F(3),)), lambda b: (
+        ("DA02", (F(0), b)), ("T05", ()), [(0, -b, 0), (1, 0, 0), (0, 0, b * b)])),
+    ("A02-family ~ T12", ((F(1), F(0)), (F(2), F(0)), (F(1), F(1)), (F(-1), F(2)), (F(3), F(-1))),
+     lambda a, b: (("DA02", (a, b)), ("T12", (-F(1) / a,)),  # a != 0
+                   [(0, 1, 1 - QQ.div(b, a)), (0, 0, 1), (-F(1) / a, 0, 0)])),
+    ("D04 ~ T06", CATALOG["D04"].samples, lambda: (
+        ("D04", ()), ("T06", ()), [(0, 1, 0), (1, 0, 0), (0, 0, -1)])),
+    ("D06 parameter swap", CATALOG["D06"].samples, _d06_swap),
+    ("D06 ~ T09", ((F(1), F(2)), (F(2), F(6)), (F(-1), F(3))), lambda a, b: (
+        ("D06", (a, b)), ("T09", (QQ.div(b, a), -F(1) / a)),  # a != b, both nonzero
+        [(0, 0, a), (0, b, b - a), (-F(1) / a, 0, 0)])),
+)
 
 
 def known_isomorphisms():
-    """Every explicit isomorphism witness of the classification, instantiated
-    at the deterministic admissible samples."""
-    out = []
-    for b in (F(1), F(2), F(-3), F(1, 2)):
-        out.append(_t03_sign(b))
-    for a in (F(2), F(3), F(-1), F(1, 2), F(5)):
-        for b in (F(0), F(1), F(-2)):
-            out.append(_t09_inversion(a, b))
-        out.append(_g2_inversion(a))
-    for b in (F(2), F(3), F(-1), F(1, 2)):
-        out.append(_t11_inversion(b))
-    for b in (F(1), F(2), F(3), F(-1), F(1, 2)):
-        out.append(_t10s_to_t10(b))
-    for a in (F(1), F(2), F(-1), F(1, 2)):
-        out.append(_d01_to_t17(a))
-        out.append(_d05_to_t07(a))
-        out.append(_d06b_to_t19(a))
-        out.append(_d07_to_t04(a))
-        out.append(_d08_to_t03(a))
-        out.append(_d08_negation(a))
-    for b in (F(1), F(2), F(-1), F(3)):
-        out.append(_da02_zero_to_t05(b))
-    for a, b in ((F(1), F(0)), (F(2), F(0)), (F(1), F(1)), (F(-1), F(2)), (F(3), F(-1))):
-        out.append(_da02_to_t12(a, b))
-    out.append(_d04_to_t06())
-    for a, b in ((F(1), F(2)), (F(2), F(1)), (F(1), F(0)), (F(0), F(1)),
-                 (F(3), F(3)), (F(2), F(-1))):
-        out.append(_d06_swap(a, b))
-    for a, b in ((F(1), F(2)), (F(2), F(6)), (F(-1), F(3))):
-        out.append(_d06_to_t09(a, b))
-    return out
+    """Every explicit isomorphism witness of the classification, at each family's samples."""
+    return [IsoWitness(name, source, target, tuple(zip(*cols)))
+            for name, samples, witness in WITNESS_FAMILIES
+            for source, target, cols in (witness(*p) for p in samples)]

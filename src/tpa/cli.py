@@ -30,7 +30,7 @@ from .derivations import NotALieAlgebra, delta_derivations, half_biderivations
 from .dspecial import derivation_matching_bracket, derived_bracket
 from .enumeration import member_pair, tp_family
 from .iso import distinguish, fingerprint, verify_witness
-from .scalars import QQ, ScalarParseError, parse_rational
+from .scalars import QQ, ScalarParseError, excerpt, parse_rational
 
 
 class CliError(Exception):
@@ -73,7 +73,7 @@ def _rational(name, text):
     try:
         return parse_rational(text)
     except ScalarParseError as exc:
-        raise CliError(f"bad rational for --{name}: {text!r}") from exc
+        raise CliError(f"bad rational for --{name}: {excerpt(text)}") from exc
 
 
 def _load_pair(path):
@@ -260,10 +260,15 @@ def cmd_verify_paper(args):
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_algebra_source(p, params=("alpha", "beta", "gamma", "delta", "epsilon"), rename=None):
+#: every parameter name of the catalog, in order of first use
+_PARAM_NAMES = tuple(dict.fromkeys(n for e in CATALOG.values() for n in e.param_names))
+
+
+def _add_algebra_source(p, rename=None):
     """The --id/--lie/--input options and one option per family parameter
     name; ``rename`` maps a parameter to another option where the command
     uses its name for something else."""
+    params = tuple(dict.fromkeys((rename or {}).get(n, n) for n in _PARAM_NAMES))
     p.add_argument("--id", help="catalog id (e.g. T05, g2, A04)")
     p.add_argument("--lie", help="catalog id of a Lie algebra (e.g. g2)")
     p.add_argument("--input", help="path to an algebra JSON file ('-' for stdin)")
@@ -286,8 +291,7 @@ def build_parser():
 
     p = sub.add_parser("der", help="delta-derivations of a bracket (or product)")
     # --delta is the delta, so a family parameter named delta is --epsilon
-    _add_algebra_source(p, params=("alpha", "beta", "gamma", "epsilon"),
-                        rename={"delta": "epsilon"})
+    _add_algebra_source(p, rename={"delta": "epsilon"})
     p.add_argument("--delta", default="1/2", help="the delta, e.g. 1/2 or 1")
     p.add_argument("--mul", action="store_true",
                    help="solve on the product instead of the bracket")

@@ -37,6 +37,11 @@ class ScalarParseError(ValueError):
     """Raised when a scalar string cannot be parsed."""
 
 
+def excerpt(s):
+    """repr(s), cut to its first 32 characters and the length when longer."""
+    return repr(s) if len(s) <= 32 else f"{s[:32]!r}... ({len(s)} characters)"
+
+
 def _normal(x):
     """The rational x as a Q value: its numerator when it is integral."""
     return x.numerator if x.denominator == 1 else x
@@ -380,7 +385,7 @@ _TERM_RE = re.compile(
 def parse_rational(s):
     s = s.strip()
     if not _RAT_RE.match(s):
-        raise ScalarParseError(f"not a rational: {s!r}")
+        raise ScalarParseError(f"not a rational: {excerpt(s)}")
     try:
         return _normal(Fraction(s))
     except ValueError as exc:  # past the interpreter's integer digit limit
@@ -405,7 +410,7 @@ def _parse_terms(s):
     for term in terms:
         m = _TERM_RE.match(term)
         if not m or (m.group("coef") is None and m.group("t") is None):
-            raise ScalarParseError(f"bad term {term!r} in {s!r}")
+            raise ScalarParseError(f"bad term {excerpt(term)} in {excerpt(s)}")
         coef = parse_rational(m.group("coef") or "1")
         if m.group("sign") == "-":
             coef = -coef
@@ -413,7 +418,7 @@ def _parse_terms(s):
         if m.group("t"):
             exp = int(m.group("exp") or 1)
             if abs(exp) > MAX_T_EXPONENT:
-                raise ScalarParseError(f"exponent of t beyond ±{MAX_T_EXPONENT} in {s!r}")
+                raise ScalarParseError(f"exponent of t beyond ±{MAX_T_EXPONENT} in {excerpt(s)}")
         out[exp] = out.get(exp, 0) + coef
     return out
 
@@ -460,7 +465,7 @@ def parse_ratfunc(s):
             if left.startswith("(") and left.endswith(")"):
                 left = left[1:-1]
             return _quotient(left, right)
-    raise ScalarParseError(f"cannot parse rational function: {s!r}")
+    raise ScalarParseError(f"cannot parse rational function: {excerpt(s)}")
 
 
 def format_rational(v):

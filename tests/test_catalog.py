@@ -183,6 +183,22 @@ def test_all_witnesses_verify():
         assert verify_witness(b, a, inv(m, QQ)), w.name
 
 
+#: sha256 of the witness list, sorted; every scalar is written by ``str``,
+#: so ``F(1)`` and ``1`` hash alike and only the order of the list is free
+WITNESSES_SHA256 = "47c8234a8a1eab54d6e23279e14d819f0cb0fd4409f617afc39cb0e9b547dd58"
+
+
+def test_witness_list_is_pinned():
+    records = sorted(
+        [w.name, w.source[0], [str(p) for p in w.source[1]],
+         w.target[0], [str(p) for p in w.target[1]],
+         [[str(v) for v in row] for row in w.matrix]]
+        for w in known_isomorphisms())
+    assert len(records) == 76
+    blob = json.dumps(records, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == WITNESSES_SHA256
+
+
 def test_witness_fingerprints_agree():
     for w in known_isomorphisms():
         assert fingerprint(instantiate(*w.source)) == fingerprint(instantiate(*w.target)), w.name

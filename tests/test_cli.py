@@ -151,6 +151,25 @@ def test_der_four_parameter_family(capsys):
     assert doc["dim"] == delta_derivations(instantiate("D08", (1,)).bracket, F(1, 2)).dim
 
 
+@pytest.mark.parametrize("command, rename", [
+    ("check", {}), ("der", {"delta": "epsilon"}),
+], ids=["check", "der"])
+def test_every_catalog_parameter_is_an_option(command, rename):
+    # each parameter of each entry binds to its option, renamed where der
+    # uses the name itself, and gives the entry at that sample
+    from tpa.algebra import pairs_equal
+    from tpa.catalog import CATALOG, instantiate
+    from tpa.cli import _instantiate, build_parser
+
+    for cid, e in CATALOG.items():
+        params = e.samples[0]
+        argv = [command, "--id", cid]
+        for name, value in zip(e.param_names, params):
+            argv += [f"--{rename.get(name, name)}", str(value)]
+        args = build_parser().parse_args(argv)
+        assert pairs_equal(_instantiate(args, cid), instantiate(cid, params)), cid
+
+
 def test_dspecial_feasible(capsys):
     code, doc = run(capsys, "dspecial", "--id", "T02", "--feasible")
     assert code == 0
@@ -257,6 +276,30 @@ def test_malformed_input_exit_2(tmp_path, capsys, command, files):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
+LONG_MALFORMED = "x" * 5000
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["check", "--id", "T03", "--beta", LONG_MALFORMED], {}),
+    (["der", "--lie", "g2", "--alpha", "1", "--delta", LONG_MALFORMED], {}),
+    (["check", "--input", "a.json"],
+     {"a.json": json.dumps({"dim": 3, "mul": [[1, 1, 1, LONG_MALFORMED]]})}),
+    (["check", "--input", "a.json"],
+     {"a.json": json.dumps({"dim": 3, "mul": [[1, 1, 1, "t" + LONG_MALFORMED]]})}),
+], ids=["option", "delta-option", "file-entry", "file-entry-over-q-t"])
+def test_long_malformed_scalar_is_echoed_bounded(tmp_path, monkeypatch, capsys, argv, files):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert len(captured.err.encode()) < 200
+    assert "(5000 characters)" in captured.err or "(5001 characters)" in captured.err
     assert "Traceback" not in captured.err
 
 

@@ -210,6 +210,22 @@ def test_np02_commutator_values():
         assert all(cb.c[i][j][1] == 0 for i in range(2) for j in range(2))
 
 
+def test_np02_commutator_is_linear_in_the_parameters():
+    # n02_obstruction_report checks the commutator only at the unit vectors
+    def cb(*params):
+        return novikov_commutator_pair("NP02", params).bracket.c
+
+    units = [cb(1, 0, 0), cb(0, 1, 0), cb(0, 0, 1)]
+    rng = random.Random(19)
+    for _ in range(10):
+        params = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)]
+        got = cb(*params)
+        for i in range(2):
+            for j in range(2):
+                for k in range(2):
+                    assert got[i][j][k] == sum(p * u[i][j][k] for p, u in zip(params, units))
+
+
 def test_n02_obstruction():
     report = n02_obstruction_report()
     assert report["all_pass"]
