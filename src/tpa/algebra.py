@@ -27,7 +27,7 @@ from functools import cached_property
 
 from . import linalg
 from .linalg import DimensionMismatch
-from .scalars import QQ, QQ_T, _integral, limit_at_zero
+from .scalars import QQ, QQ_T, _integral, excerpt_repr, limit_at_zero
 
 
 @dataclass(frozen=True)
@@ -400,7 +400,7 @@ def _json_entries(doc, key, dim):
         raise ValueError(f"{key!r} must be a list of [i, j, k, value] entries")
     for entry in items:
         if not all(type(x) is int and 1 <= x <= dim for x in entry[:3]):
-            raise DimensionMismatch(f"entry index out of range in {key}: {entry!r}")
+            raise DimensionMismatch(f"entry index out of range in {key}: {excerpt_repr(entry)}")
     return items
 
 
@@ -411,7 +411,7 @@ def pair_from_json(doc, field=None):
         raise ValueError("an algebra document must be a JSON object")
     dim = doc.get("dim")
     if type(dim) is not int or not 1 <= dim <= 3:
-        raise ValueError(f"dim must be an integer from 1 to 3, got {dim!r}")
+        raise ValueError(f"dim must be an integer from 1 to 3, got {excerpt_repr(dim)}")
     items = {key: _json_entries(doc, key, dim) for key in ("mul", "bracket")}
     if field is None:
         field = QQ_T if any("t" in str(e[3]) for es in items.values() for e in es) else QQ

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraPair, StructureConstants
-from .scalars import QQ
+from .scalars import QQ, excerpt_repr
 
 F = Fraction
 
@@ -210,7 +210,7 @@ def entry(id):
     try:
         return CATALOG[id]
     except KeyError:
-        raise UnknownId(f"no catalog entry {id!r}") from None
+        raise UnknownId(f"no catalog entry {excerpt_repr(id)}") from None
 
 
 def instantiate(id, params=(), field=QQ):

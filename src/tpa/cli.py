@@ -101,7 +101,8 @@ def _space_doc(space):
     def encode(x):
         return [encode(v) for v in x] if isinstance(x, tuple) else space.field.format(x)
 
-    return {"dim": space.dim, "kind": space.kind, "basis": encode(space.basis)}
+    return {"dim": space.dim, "kind": "matrix" if space.depth == 2 else "tensor",
+            "basis": encode(space.basis)}
 
 
 # ---------------------------------------------------------------------------

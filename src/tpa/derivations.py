@@ -32,30 +32,36 @@ class NotALieAlgebra(ValueError):
     """Raised when a bracket fails anticommutativity or Jacobi."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolutionSpace:
-    """A basis of the nullspace of one of the linear systems above.
-
-    ``vectors`` are the basis elements in ``algebra.flatten`` order, as the
-    solve returns them; ``basis`` holds them as n x n matrices (depth 2,
-    derivation problems) or n x n x n tensors (depth 3, biderivation
-    problems).  Every element satisfies the defining system exactly, and
-    the basis is deterministic: free coordinates in increasing index
-    order, first nonzero coordinate scaled to 1.
+    """The nullspace of one of the linear systems above: ``rows`` in
+    ``nunknowns`` unknowns, ``cells[p]`` the unknown at position p of the
+    ``algebra.flatten`` order, eliminated once, on first use.  ``dim`` needs
+    no basis; ``vectors`` (flat) and ``basis`` (n x n matrices at depth 2,
+    n x n x n tensors at depth 3) are read off the same elimination when
+    first read.  The basis is deterministic: free unknowns in increasing
+    index order, first nonzero coordinate 1.
     """
 
     ambient_dim: int
     depth: int
-    vectors: tuple
+    rows: list
+    nunknowns: int
+    cells: object
     field: object
+
+    @cached_property
+    def _echelon(self):
+        return linalg.echelon(self.rows, self.field)
 
     @property
     def dim(self):
-        return len(self.vectors)
+        return self.nunknowns - len(self._echelon[1])
 
-    @property
-    def kind(self):
-        return "matrix" if self.depth == 2 else "tensor"
+    @cached_property
+    def vectors(self):
+        kernel = linalg.kernel(self._echelon, self.nunknowns, self.field)
+        return tuple(tuple(v[p] for p in self.cells) for v in kernel)
 
     @cached_property
     def basis(self):
@@ -86,8 +92,7 @@ def delta_derivations(sc, delta):
     # the rows times the denominator q of delta: the same nullspace, and
     # integer rows, since the normal form is an integer tensor
     q = Fraction(delta).denominator
-    rows = [r for r in _map_rows(sc, q, -q * delta, -q * delta) if any(r)]
-    return SolutionSpace(n, 2, tuple(map(tuple, linalg.nullspace(rows, n * n, sc.field))),
+    return SolutionSpace(n, 2, _map_rows(sc, q, -q * delta, -q * delta), n * n, range(n * n),
                          sc.field)
 
 
@@ -101,9 +106,8 @@ def pair_derivations(pair):
     """Joint 1-derivations of both components of a pair."""
     pair = pair.primitive
     n = pair.dim
-    rows = [r for sc in (pair.mul, pair.bracket) for r in _map_rows(sc, 1, -1, -1) if any(r)]
-    return SolutionSpace(n, 2, tuple(map(tuple, linalg.nullspace(rows, n * n, pair.field))),
-                         pair.field)
+    rows = [r for sc in (pair.mul, pair.bracket) for r in _map_rows(sc, 1, -1, -1)]
+    return SolutionSpace(n, 2, rows, n * n, range(n * n), pair.field)
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +162,4 @@ def half_biderivations(bracket, symmetric=True):
                         if v:
                             new[slot(c, z, r)] += v
                 rows.append(new)
-
-    vectors = linalg.nullspace(rows, nunk, field)
-    return SolutionSpace(n, 3, tuple(tuple(v[p] for p in cells) for v in vectors), field)
+    return SolutionSpace(n, 3, rows, nunk, cells, field)

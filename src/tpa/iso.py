@@ -57,7 +57,7 @@ def _right_mul_rows(sc):
 
 def _annihilator_dim(sc):
     # x with x * e_j = 0 for all j
-    return len(linalg.nullspace(_right_mul_rows(sc), sc.dim, sc.field))
+    return sc.dim - linalg.rank(_right_mul_rows(sc), sc.field)
 
 
 def _has_unit(sc):

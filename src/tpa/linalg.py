@@ -7,11 +7,11 @@ bases are reproducible across runs.
 
 Every division goes through the field's ``div``, which is exact and never
 returns a float (``int / int`` is one); over Q it returns an ``int`` for
-an integral quotient.  ``rref`` is one fraction-free loop for both
-fields: rows are combined without division and each pivot row is divided
-by its pivot once, at the end.  Over Q the rows are primitive integer
-rows; over Q(t) they are rows of rational functions.  The result is the
-one reduced row echelon form either way.
+an integral quotient.  ``echelon`` is the one elimination loop for both
+fields (primitive integer rows over Q, rational functions over Q(t)), and
+it never divides.  Each answer divides only what it returns: ``rank`` and
+``span_dim`` count pivots, ``nullspace`` divides once per coordinate,
+``solve`` once per pivot, ``rref`` and ``inv`` each pivot row.
 """
 
 from __future__ import annotations
@@ -56,21 +56,20 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def rref(rows, field):
-    """Reduced row echelon form.  Returns (matrix, pivot column list).
-
-    Fraction-free Gauss-Jordan: each step replaces a row by
-    a*row - b*pivot_row, and each pivot row is divided by its pivot once,
-    at the end.  Every row stays a nonzero multiple of the row the
-    textbook loop (normalise the pivot, then subtract) would hold, so the
-    pivots and the reduced form are the same.  Zero rows change neither,
-    so they are set aside first and come back as the bottom rows."""
-    m = [_integral(row)[2] if field is QQ else list(row) for row in rows if any(row)]
-    step = _integer_step if field is QQ else _field_step
-    ncols = len(rows[0]) if rows else 0
+def echelon(rows, field):
+    """Fraction-free Gauss-Jordan elimination: (the undivided pivot rows,
+    their pivot columns).  Each step replaces a row by a*row - b*pivot_row,
+    so each row stays a nonzero multiple of the textbook loop's row: row r
+    divided by its entry in column pivots[r] is row r of the reduced form.
+    That form is unique, so zero rows are dropped first, and over Q rows
+    that repeat up to a factor."""
+    if field is QQ:
+        m, step = _distinct_primitive(rows), _integer_step
+    else:
+        m, step = [list(row) for row in rows if any(row)], _field_step
     pivots = []
-    r = 0
-    for c in range(ncols):
+    for c in range(len(rows[0]) if m else 0):
+        r = len(pivots)
         pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
@@ -80,12 +79,17 @@ def rref(rows, field):
             if i != r and row[c]:
                 m[i] = step(row, prow, c)
         pivots.append(c)
-        r += 1
-        if r == len(m):
+        if r + 1 == len(m):
             break
-    div, zero = field.div, field.zero
-    red = [[div(x, row[c]) if x else zero for x in row] for row, c in zip(m, pivots)]
-    return red + [[zero] * ncols for _ in range(len(rows) - r)], pivots
+    return m[:len(pivots)], pivots
+
+
+def _distinct_primitive(rows):
+    """The nonzero rows of a Q matrix as primitive integer rows with a
+    positive first nonzero entry, each once."""
+    primitive = (_integral(row)[2] for row in rows if any(row))
+    return list(dict.fromkeys(tuple(p) if next(filter(None, p)) > 0 else tuple(-x for x in p)
+                              for p in primitive))
 
 
 def _primitive(row):
@@ -104,51 +108,64 @@ def _integer_step(row, prow, c):
 
 def _field_step(row, prow, c):
     """a*row - b*prow with a, b the pivot and the entry: over Q(t), Laurent
-    entries stay Laurent until the final division.  A zero in prow costs
-    one product, not two and a difference."""
+    entries stay Laurent until a division.  A zero in prow costs one
+    product, not two and a difference."""
     a, b = prow[c], row[c]
     return [a * x - b * y if y else a * x for x, y in zip(row, prow)]
 
 
+def rref(rows, field):
+    """Reduced row echelon form: (the ``echelon`` rows divided by their
+    pivots and zero rows up to the row count of ``rows``, the pivots)."""
+    m, pivots = echelon(rows, field)
+    div, zero = field.div, field.zero
+    red = [[div(x, row[c]) if x else zero for x in row] for row, c in zip(m, pivots)]
+    ncols = len(rows[0]) if rows else 0
+    return red + [[zero] * ncols for _ in range(len(rows) - len(red))], pivots
+
+
 def rank(rows, field):
-    return len(rref(rows, field)[1])
+    return len(echelon(rows, field)[1])
 
 
 def nullspace(rows, ncols, field):
     """Basis of {x : rows @ x = 0}, each vector scaled so its first
     nonzero coordinate is 1.  Free coordinates are taken in increasing
     index order, which makes the basis deterministic."""
-    red, pivots = rref(rows, field)
-    pivot_set = set(pivots)
+    return kernel(echelon(rows, field), ncols, field)
+
+
+def kernel(form, ncols, field):
+    """``nullspace`` read off an ``echelon`` form.  The vector of free column
+    f is 1 at f and -row[f] / row[pc] at each pivot column pc; dividing it
+    by its first nonzero coordinate, -a/b from the first row with
+    row[f] != 0 (else a, b = -1, 1), takes one ``field.div`` per entry."""
+    m, pivots = form
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        lead = next((r for r, row in enumerate(m) if row[f]), len(m))
+        a, b = (m[lead][f], m[lead][pivots[lead]]) if lead < len(m) else (-1, 1)
         v = [field.zero] * ncols
-        v[free] = field.one
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][free]
-        first = next(x for x in v if x)
-        if first != field.one:
-            v = [field.div(x, first) for x in v]
+        for row, pc in zip(m[lead:], pivots[lead:]):
+            if row[f]:
+                v[pc] = field.div(row[f] * b, row[pc] * a)
+        v[f] = field.div(-b, a)
         basis.append(v)
     return basis
 
 
 def solve(rows, rhs, field):
-    """One solution of rows @ x = rhs, or None if inconsistent.
-
-    Free coordinates are set to zero."""
+    """One solution of rows @ x = rhs, free coordinates zero, or None if
+    inconsistent."""
     if not rows:
         return None
     ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, field)
+    m, pivots = echelon([list(r) + [b] for r, b in zip(rows, rhs)], field)
     if ncols in pivots:
         return None
     x = [field.zero] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
+    for row, pc in zip(m, pivots):
+        x[pc] = field.div(row[ncols], row[pc])
     return x
 
 

@@ -37,9 +37,19 @@ class ScalarParseError(ValueError):
     """Raised when a scalar string cannot be parsed."""
 
 
+#: characters of a rejected input that an error message quotes
+_EXCERPT = 32
+
+
 def excerpt(s):
     """repr(s), cut to its first 32 characters and the length when longer."""
-    return repr(s) if len(s) <= 32 else f"{s[:32]!r}... ({len(s)} characters)"
+    return repr(s) if len(s) <= _EXCERPT else f"{s[:_EXCERPT]!r}... ({len(s)} characters)"
+
+
+def excerpt_repr(v):
+    """repr(v) of any value, cut to its first 32 characters like ``excerpt``."""
+    r = repr(v)
+    return r if len(r) <= _EXCERPT else f"{r[:_EXCERPT]}... ({len(r)} characters)"
 
 
 def _normal(x):
@@ -290,8 +300,11 @@ def _reduced(num, den):
 def _integral(cs):
     """(p, q, a) with cs = (p/q) * a for a primitive integer vector a: the one
     place where Q values become content times a primitive integer vector."""
-    q = math.lcm(*(1 if type(c) is int else c.denominator for c in cs))
-    a = [c * q if type(c) is int else c.numerator * (q // c.denominator) for c in cs]
+    if all(type(c) is int for c in cs):
+        q, a = 1, list(cs)
+    else:
+        q = math.lcm(*(1 if type(c) is int else c.denominator for c in cs))
+        a = [c * q if type(c) is int else c.numerator * (q // c.denominator) for c in cs]
     p = math.gcd(*a)
     return p, q, [x // p for x in a] if p > 1 else a
 

@@ -1,0 +1,102 @@
+"""Every linear-algebra answer of one ``verify-paper`` run, certified.
+
+Each ``rank``, ``nullspace`` and ``solve`` answer and each
+``SolutionSpace.dim`` read of the run is checked by a certificate
+(McConnell, Mehlhorn, Näher and Schweitzer, "Certifying algorithms",
+Computer Science Review 5 (2011)) that does not call the elimination
+under test: products of rows and vectors, minors by ``linalg.det`` (a
+Bareiss loop of its own) and the textbook loop of ``test_linalg``.
+
+* A rank r: the r x r minor at the pivot columns the textbook loop finds in
+  A and the pivot rows it finds in the transpose is nonzero (rank >= r),
+  and n - r kernel vectors, each nonzero at its own free column and zero
+  at every other free column, so independent (rank <= r).
+* A nullspace basis: those kernel vectors, each with first nonzero
+  coordinate 1.
+* A solution x: A x = b.  No solution: a Farkas vector y with y A = 0 and
+  y b != 0.
+"""
+
+import hashlib
+
+from test_cli import VERIFY_PAPER_SHA256
+from test_linalg import textbook_nullspace, textbook_rref
+
+from tpa import linalg
+from tpa.cli import main
+from tpa.derivations import SolutionSpace
+from tpa.iso import catalog_fingerprint
+
+
+def _image(a, v, field):
+    return [sum((x * y for x, y in zip(row, v)), field.zero) for row in a]
+
+
+def certified_rank(a, ncols, field, kernel=None):
+    """The rank of a, certified as above; ``kernel`` defaults to the
+    textbook loop's nullspace basis."""
+    cols = textbook_rref(a, field)[1]
+    r = len(cols)
+    if r:
+        rows = textbook_rref(linalg.transpose(a), field)[1]
+        assert len(rows) == r
+        assert linalg.det([[a[i][j] for j in cols] for i in rows], field)
+    if kernel is None:
+        kernel = textbook_nullspace(a, ncols, field)
+    free = [c for c in range(ncols) if c not in cols]
+    assert len(kernel) == len(free)
+    for v, f in zip(kernel, free):
+        assert not any(_image(a, v, field))
+        assert [c for c in free if v[c]] == [f]
+    return r
+
+
+def test_verify_paper_linear_algebra_is_certified(monkeypatch, capsys):
+    counts = dict.fromkeys(["rank", "nullspace", "solved", "infeasible", "dim"], 0)
+    rank, nullspace, solve = linalg.rank, linalg.nullspace, linalg.solve
+    dim = SolutionSpace.dim
+
+    def certified_rank_call(rows, field):
+        r = rank(rows, field)
+        assert r == certified_rank(rows, len(rows[0]) if rows else 0, field)
+        counts["rank"] += 1
+        return r
+
+    def certified_nullspace(rows, ncols, field):
+        basis = nullspace(rows, ncols, field)
+        assert all(next(x for x in v if x) == 1 for v in basis)
+        certified_rank(rows, ncols, field, basis)
+        counts["nullspace"] += 1
+        return basis
+
+    def certified_solve(rows, rhs, field):
+        x = solve(rows, rhs, field)
+        if x is not None:
+            assert _image(rows, x, field) == rhs
+            counts["solved"] += 1
+            return x
+        columns = linalg.transpose(rows)
+        y = next(y for y in textbook_nullspace(columns, len(rows), field)
+                 if _image([rhs], y, field)[0])
+        assert not any(_image(columns, y, field))
+        counts["infeasible"] += 1
+        return x
+
+    def certified_dim(space):
+        d = dim.fget(space)
+        assert d == space.nunknowns - certified_rank(space.rows, space.nunknowns, space.field)
+        counts["dim"] += 1
+        return d
+
+    monkeypatch.setattr(linalg, "rank", certified_rank_call)
+    monkeypatch.setattr(linalg, "nullspace", certified_nullspace)
+    monkeypatch.setattr(linalg, "solve", certified_solve)
+    monkeypatch.setattr(SolutionSpace, "dim", property(certified_dim))
+    monkeypatch.delenv("TPA_SAMPLE_SEED", raising=False)
+    catalog_fingerprint.cache_clear()  # so each fingerprint's ranks are computed here
+    code = main(["verify-paper"])
+    catalog_fingerprint.cache_clear()  # and none computed under the wrappers outlives them
+    raw = capsys.readouterr().out.encode()
+    assert code == 1
+    assert hashlib.sha256(raw).hexdigest() == VERIFY_PAPER_SHA256
+    assert all(counts.values()), counts

@@ -261,11 +261,15 @@ NOT_LIE = '{"dim": 2, "bracket": [[1, 1, 1, "1"]]}'
     (["check", "--id", "D08", "--alpha", "1"], {}),
     (["check", "--id", "T09", "--alpha", "2"], {}),
     (["check", "--alpha", "1"], {"input": '{"dim": 1}'}),
+    (["check"], {"input": json.dumps({"dim": "x" * 5000})}),
+    (["check"], {"input": json.dumps({"dim": 3, "mul": [[1, 1, 9, "1" * 5000]]})}),
+    (["check", "--id", "x" * 5000], {}),
 ], ids=["zero-denominator", "top-level-list", "three-field-entry", "mul-not-a-list",
         "negative-dim", "witness-shape", "t-exponent-too-large", "unknown-row",
         "biderive-not-lie", "enumerate-not-lie", "delta-exponent", "alpha-exponent",
         "comm-extra-parameter", "t07-gamma-not-a-parameter", "d08-alpha-not-a-parameter",
-        "missing-parameter", "input-with-parameter"])
+        "missing-parameter", "input-with-parameter", "long-dim", "long-entry-out-of-range",
+        "long-unknown-id"])
 def test_malformed_input_exit_2(tmp_path, capsys, command, files):
     argv = list(command)
     for flag, text in files.items():
@@ -276,6 +280,7 @@ def test_malformed_input_exit_2(tmp_path, capsys, command, files):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+    assert len(captured.err.encode()) < 200  # the offending value is quoted by an excerpt
     assert "Traceback" not in captured.err
 
 

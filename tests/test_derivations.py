@@ -1,10 +1,12 @@
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tpa import linalg
-from tpa.algebra import StructureConstants, transport
+from tpa.algebra import StructureConstants, flatten, transport
 from tpa.catalog import instantiate, t_series_samples
 from tpa.derivations import (
     NotALieAlgebra,
@@ -289,3 +291,23 @@ def test_half_biderivations_match_sympy(pair, symmetric):
     ours = _our_solutions(sympy, [[t[i][j][k] for i in range(n) for j in range(n) for k in range(n)]
                                   for t in space.basis])
     assert ours == theirs
+
+
+# -- the bases pinned in their deterministic order -----------------------------
+
+#: sha256 of the 1/2-derivation, joint-derivation and half-biderivation bases
+#: of the 70 T-series samples, in sample order; every entry is written by
+#: ``str``, so ``F(1)`` and ``1`` hash alike and the order of each basis counts
+BASES_SHA256 = "9d6090f5cfbcf23ac05c368ab0de46ae275cbd8d6d3f326e95b29b7ffa288401"
+
+
+def test_t_series_bases_are_pinned():
+    records = []
+    for tid, params, pair in t_series_samples():
+        spaces = (pair_derivations(pair), delta_derivations(pair.bracket, F(1, 2)),
+                  half_biderivations(pair.bracket), half_biderivations(pair.bracket, False))
+        records.append([tid, [str(p) for p in params],
+                        [[[str(x) for x in flatten(b)] for b in s.basis] for s in spaces]])
+    assert len(records) == 70
+    blob = json.dumps(records, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == BASES_SHA256

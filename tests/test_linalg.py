@@ -41,6 +41,46 @@ def textbook_rref(rows, field):
     return [[field.coerce(x) for x in row] for row in m], pivots
 
 
+def textbook_nullspace(rows, ncols, field):
+    """The nullspace read off ``textbook_rref``: for each free column, the
+    vector that is 1 there and minus that column of the reduced form at the
+    pivot columns, divided by its first nonzero coordinate.  The reference
+    for ``linalg.nullspace``."""
+    red, pivots = textbook_rref(rows, field)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [field.zero] * ncols
+        v[free] = field.one
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][free]
+        first = next(x for x in v if x)
+        basis.append([field.div(x, first) for x in v])
+    return basis
+
+
+def textbook_solve(rows, rhs, field):
+    """The solution read off ``textbook_rref`` of the augmented matrix, free
+    coordinates zero, or None.  The reference for ``linalg.solve``."""
+    ncols = len(rows[0])
+    red, pivots = textbook_rref([list(r) + [b] for r, b in zip(rows, rhs)], field)
+    if ncols in pivots:
+        return None
+    x = [field.zero] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    return x
+
+
+def typed(answer):
+    """An answer with each scalar paired with its type, so that equal
+    answers of different scalar types compare unequal."""
+    if isinstance(answer, list):
+        return [typed(x) for x in answer]
+    return answer if answer is None else (type(answer), answer)
+
+
 def dividing_det(a, field):
     """The dividing forward loop ``linalg.det`` ran before Bareiss: each
     row below the pivot loses its multiple pivot_row * (entry / pivot).
@@ -135,21 +175,31 @@ entries = st.one_of(
 )
 
 
+#: the factors of rescaled row copies; -1 makes a negated copy
+scales = st.one_of(st.just(-1), st.fractions(min_value=-9, max_value=9,
+                                             max_denominator=12).filter(bool))
+
+
 @st.composite
 def matrices(draw, entries, zero, shape):
     """Matrices over one field with entries drawn from entries; rows past
-    the first drawn ones are zero rows or combinations of earlier rows,
-    shuffled in, so ranks fall short."""
+    the first drawn ones are zero rows, combinations of earlier rows, or
+    negated or rescaled copies of one, shuffled in, so ranks fall short
+    and rows repeat up to a factor."""
     nrows, ncols = draw(shape)
     row = st.lists(entries, min_size=ncols, max_size=ncols)
     rows = draw(st.lists(row, min_size=1, max_size=nrows))
     while len(rows) < nrows:
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["zero", "combination", "copy"]))
+        if kind == "zero":
             rows.append([zero] * ncols)
-        else:
+        elif kind == "combination":
             a, b = draw(st.lists(st.sampled_from(rows), min_size=2, max_size=2))
             x, y = draw(entries), draw(entries)
             rows.append([x * u + y * v for u, v in zip(a, b)])
+        else:
+            a, x = draw(st.sampled_from(rows)), draw(scales)
+            rows.append([u * x for u in a])
     return draw(st.permutations(rows))
 
 
@@ -221,12 +271,30 @@ def test_inverse_matches_sympy(m):
         assert linalg.inv(m, QQ) == [[_from_sympy(x) for x in r] for r in sm.inv().tolist()]
 
 
-def test_t_series_derivations_identical_under_generic_loop(monkeypatch):
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices(), st.booleans(), st.data())
+def test_rank_nullspace_and_solve_match_textbook_loop(m, consistent, data):
+    # answers read off the undivided echelon form equal those read off the
+    # textbook loop's reduced form, value and type, whichever rows repeat
+    nrows, ncols = len(m), len(m[0])
+    vector = st.lists(entries, min_size=ncols, max_size=ncols)
+    rhs = linalg.mat_vec(m, data.draw(vector)) if consistent else \
+        data.draw(st.lists(entries, min_size=nrows, max_size=nrows))
+    assert linalg.rank(m, QQ) == len(textbook_rref(m, QQ)[1])
+    assert typed(linalg.nullspace(m, ncols, QQ)) == typed(textbook_nullspace(m, ncols, QQ))
+    assert typed(linalg.solve(m, rhs, QQ)) == typed(textbook_solve(m, rhs, QQ))
+    if consistent:
+        assert linalg.solve(m, rhs, QQ) is not None
+
+
+def test_t_series_derivations_identical_under_generic_loop():
     samples = t_series_samples()
     assert len(samples) == 70
-    fast = [pair_derivations(pair).basis for _, _, pair in samples]
-    monkeypatch.setattr(linalg, "rref", textbook_rref)
-    assert [pair_derivations(pair).basis for _, _, pair in samples] == fast
+    for _, _, pair in samples:
+        space = pair_derivations(pair)
+        reference = textbook_nullspace(space.rows, space.nunknowns, space.field)
+        assert space.dim == len(reference)
+        assert typed([list(v) for v in space.vectors]) == typed(reference)
 
 
 # -- the fraction-free rref over Q(t) against the textbook loop and sympy ----
@@ -269,10 +337,11 @@ def test_qt_elimination_matches_textbook_loop(m, sq):
     assert all(type(x) is RatFunc for row in red for x in row)
     ncols = len(m[0])
     answers = (linalg.rank(m, QQ_T), linalg.nullspace(m, ncols, QQ_T), _inv_or_none(sq, QQ_T))
-    with mock.patch.object(linalg, "rref", textbook_rref):
+    assert answers[0] == len(textbook_rref(m, QQ_T)[1])
+    assert typed(answers[1]) == typed(textbook_nullspace(m, ncols, QQ_T))
+    with mock.patch.object(linalg, "rref", textbook_rref):  # inv reads rref
         assert (red, pivots) == linalg.rref(m, QQ_T)
-        assert answers == (linalg.rank(m, QQ_T), linalg.nullspace(m, ncols, QQ_T),
-                           _inv_or_none(sq, QQ_T))
+        assert answers[2] == _inv_or_none(sq, QQ_T)
     assert answers[0] == len(pivots) == ncols - len(answers[1])
     assert all(not any(linalg.mat_vec(m, v)) for v in answers[1])
     if answers[2] is not None:
