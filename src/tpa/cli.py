@@ -76,14 +76,22 @@ def _rational(name, text):
         raise CliError(f"bad rational for --{name}: {excerpt(text)}") from exc
 
 
-def _load_pair(path):
+def _read_json(path, what, parse):
+    """parse(the JSON document in the file at path, '-' for stdin); a read
+    or parse failure is a CliError naming the file."""
     try:
         if path == "-":
-            return pair_from_json(json.load(sys.stdin))
+            return parse(json.load(sys.stdin))
         with open(path) as fh:
-            return pair_from_json(json.load(fh))
+            return parse(json.load(fh))
+    except RecursionError as exc:  # its own message is long and names the decoder
+        raise CliError(f"cannot read {what} file {path}: JSON nested too deeply") from exc
     except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read algebra file {path}: {exc}") from exc
+        raise CliError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _load_pair(path):
+    return _read_json(path, "algebra", pair_from_json)
 
 
 def _resolve_input(args):
@@ -170,11 +178,7 @@ def _sample_coords(dim):
 def cmd_iso(args):
     lhs = _load_pair(args.lhs)
     rhs = _load_pair(args.rhs)
-    try:
-        with open(args.witness) as fh:
-            witness = matrix_from_json(json.load(fh))
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read witness file {args.witness}: {exc}") from exc
+    witness = _read_json(args.witness, "witness", matrix_from_json)
     if not lhs.dim == rhs.dim == len(witness):
         raise CliError(f"witness is {len(witness)}x{len(witness)}, pairs have "
                        f"dimensions {lhs.dim} and {rhs.dim}")

@@ -1,17 +1,21 @@
-"""Derivation-type linear systems, all written as rows of one builder.
+"""Derivation-type linear systems, each stated once.
 
 ``algebra._map_rows`` states a phi(x*y) + b phi(x)*y + c x*phi(y) once,
-as coefficient rows in the entries of phi.  Everything here is read off
-those rows:
+as coefficient rows in the entries of phi.  ``delta_derivations`` is the
+one solver that reads those rows:
 
 * delta-derivations of a single multiplication (their nullspace):
       phi(x*y) = delta (phi(x)*y + x*phi(y))
-* joint derivations of a pair (delta = 1 on both components),
-* the residual checker ``derivation_residual`` (rows times phi),
+* the residual checker ``derivation_residual`` (rows times phi).
+
+The derived systems are read off the reduced rows (``SolutionSpace.form``)
+of those spaces, never off ``_map_rows``:
+
+* joint derivations of a pair: both components' derivation forms stacked,
 * half-biderivations of a bracket: bilinear D that is a 1/2-derivation
-  in each argument, the 1/2-derivation rows re-indexed onto the entries
+  in each argument, the 1/2-derivation form re-indexed onto the entries
   of D, optionally restricted to symmetric D,
-* the derived bracket and the strong-D-special solve in ``dspecial``.
+* the strong-D-special solve in ``dspecial``.
 
 Linear maps are stored as matrices P with P[r][c] = coefficient of e_r
 in phi(e_c) (columns are images of basis vectors, matching transport).
@@ -40,7 +44,11 @@ class SolutionSpace:
     no basis; ``vectors`` (flat) and ``basis`` (n x n matrices at depth 2,
     n x n x n tensors at depth 3) are read off the same elimination when
     first read.  The basis is deterministic: free unknowns in increasing
-    index order, first nonzero coordinate 1.
+    index order, first nonzero coordinate 1.  ``form`` is the elimination
+    itself: the undivided echelon rows, spanning the same row space as
+    ``rows``, and their pivot columns (see ``linalg.echelon``).  The reduced
+    form is unique, so a system built from it has the same nullspace and
+    basis as one built from ``rows``.
     """
 
     ambient_dim: int
@@ -51,16 +59,16 @@ class SolutionSpace:
     field: object
 
     @cached_property
-    def _echelon(self):
+    def form(self):
         return linalg.echelon(self.rows, self.field)
 
     @property
     def dim(self):
-        return self.nunknowns - len(self._echelon[1])
+        return self.nunknowns - len(self.form[1])
 
     @cached_property
     def vectors(self):
-        kernel = linalg.kernel(self._echelon, self.nunknowns, self.field)
+        kernel = linalg.kernel(self.form, self.nunknowns, self.field)
         return tuple(tuple(v[p] for p in self.cells) for v in kernel)
 
     @cached_property
@@ -106,22 +114,8 @@ def pair_derivations(pair):
     """Joint 1-derivations of both components of a pair."""
     pair = pair.primitive
     n = pair.dim
-    rows = [r for sc in (pair.mul, pair.bracket) for r in _map_rows(sc, 1, -1, -1)]
+    rows = [r for sc in (pair.mul, pair.bracket) for r in delta_derivations(sc, 1).form[0]]
     return SolutionSpace(n, 2, rows, n * n, range(n * n), pair.field)
-
-
-# ---------------------------------------------------------------------------
-# half-biderivations
-# ---------------------------------------------------------------------------
-
-def _bider_unknowns(n, symmetric):
-    """The unknown each cell D(e_i, e_j)_k stands for, in ``flatten``
-    order (cells (i, j, k) and (j, i, k) share one when ``symmetric``),
-    and the number of unknowns."""
-    index = {}
-    cells = [index.setdefault((min(i, j), max(i, j), k) if symmetric else (i, j, k), len(index))
-             for i, j, k in product(range(n), repeat=3)]
-    return cells, len(index)
 
 
 def half_biderivations(bracket, symmetric=True):
@@ -139,27 +133,25 @@ def half_biderivations(bracket, symmetric=True):
         raise NotALieAlgebra("half-biderivations require an anticommutative Jacobi bracket")
     n = bracket.dim
     field = bracket.field
-    cells, nunk = _bider_unknowns(n, symmetric)
-    unknown = unflatten(cells, n, 3)
+    # the unknown each cell D(e_i, e_j)_k stands for, in ``flatten`` order;
+    # cells (i, j, k) and (j, i, k) share one when ``symmetric``
+    index = {}
+    cells = [index.setdefault((min(i, j), max(i, j), k) if symmetric else (i, j, k), len(index))
+             for i, j, k in product(range(n), repeat=3)]
     # D(., e_z) and D(e_z, .) are 1/2-derivations of the bracket: unknown
     # P[r][c] of the first is D(e_c, e_z)_r, of the second D(e_z, e_c)_r.
-    # For a Lie bracket row (j, i, k) is minus row (i, j, k) and row
-    # (i, i, k) vanishes, so rows with i < j suffice.  They are taken twice,
-    # as (2, -1, -1), which keeps the nullspace and integer rows integral.
-    planes = unflatten(_map_rows(bracket, 2, -1, -1), n, 3)
-    lie_rows = [unflatten(row, n) for i, plane in enumerate(planes)
-                for cell in plane[i + 1:] for row in cell if any(row)]
-    slots = [lambda c, z, r: unknown[c][z][r]]
-    if not symmetric:  # for symmetric D the second slot names the same unknowns
-        slots.append(lambda c, z, r: unknown[z][c][r])
+    # For symmetric D the second names the same unknowns as the first.
+    targets = [[cells[(c * n + z) * n + r] for r in range(n) for c in range(n)]
+               for z in range(n)]
+    if not symmetric:
+        targets += [[cells[(z * n + c) * n + r] for r in range(n) for c in range(n)]
+                    for z in range(n)]
+    half = delta_derivations(bracket, Fraction(1, 2)).form[0]
     rows = []
-    for slot in slots:
-        for z in range(n):
-            for mat in lie_rows:
-                new = [field.zero] * nunk
-                for r, coeffs in enumerate(mat):
-                    for c, v in enumerate(coeffs):
-                        if v:
-                            new[slot(c, z, r)] += v
-                rows.append(new)
-    return SolutionSpace(n, 3, rows, nunk, cells, field)
+    for target in targets:  # one-to-one onto its unknowns
+        for row in half:
+            new = [field.zero] * len(index)
+            for t, v in zip(target, row):
+                new[t] = v
+            rows.append(new)
+    return SolutionSpace(n, 3, rows, len(index), cells, field)

@@ -6,8 +6,9 @@ strong D-special transposed Poisson algebras.  Because the construction
 is equivariant under basis change, a pair is strong D-special iff some
 derivation of its *own* product reproduces its bracket - an exactly
 solvable linear feasibility problem (the bracket is linear in D).  The
-derived bracket and that problem are both read off the coefficient rows
-``algebra._map_rows`` builds, so no identity is restated here.
+derived bracket is read off the coefficient rows ``algebra._map_rows``
+builds, and that problem stacks them on the reduced derivation rows of
+``derivations.delta_derivations``, so no identity is restated here.
 
 The module also covers the Novikov-commutator computations used for the
 two 2-dimensional exceptional pairs.
@@ -69,12 +70,15 @@ def derivation_matching_bracket(mul, bracket):
     """A derivation D of ``mul`` with derived bracket equal to ``bracket``,
     or None when the linear system is inconsistent.
 
-    One solve: the derivation rows with right-hand side 0, stacked on all
-    n^3 derived-bracket rows with the bracket as right-hand side.  Zero
-    rows stay in: a bracket entry no derivation reaches is such a row
-    with a nonzero right-hand side, and makes the system inconsistent."""
+    One solve: the reduced derivation rows (the ``form`` of
+    ``delta_derivations(mul, 1)``) with right-hand side 0, stacked on all
+    n^3 raw derived-bracket rows of ``mul`` as given, with the bracket as
+    right-hand side.  Those rows scale with ``mul``, so they do not read
+    its normal form, and zero rows stay in: a bracket entry no derivation
+    reaches is such a row with a nonzero right-hand side, and makes the
+    system inconsistent."""
     field = mul.field
-    rows = [r for r in _map_rows(mul, 1, -1, -1) if any(r)]
+    rows = delta_derivations(mul, 1).form[0]
     rhs = [field.zero] * len(rows) + flatten(bracket.c)
     x = linalg.solve(rows + _map_rows(mul, 0, 1, -1), rhs, field)
     return None if x is None else [list(r) for r in unflatten(x, mul.dim)]

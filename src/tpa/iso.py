@@ -46,49 +46,37 @@ def verify_witness(a, b, m):
     return pairs_equal(moved, b)
 
 
-def _product_vectors(sc):
-    return [list(sc.prod(i, j)) for i in range(sc.dim) for j in range(sc.dim)]
-
-
-def _right_mul_rows(sc):
-    """Rows of x -> (x e_j)_k, indexed by (j, k), in the unknowns x_i."""
-    return [row for j in range(sc.dim) for row in operator_matrix(sc, j)]
-
-
-def _annihilator_dim(sc):
-    # x with x * e_j = 0 for all j
-    return sc.dim - linalg.rank(_right_mul_rows(sc), sc.field)
-
-
-def _has_unit(sc):
-    # x with x * e_j = e_j for all j
-    rhs = [v for row in linalg.identity(sc.dim, sc.field) for v in row]
-    return 1 if linalg.solve(_right_mul_rows(sc), rhs, sc.field) is not None else 0
+def _right_multiplication(sc):
+    """(dim {x : x e_j = 0 for all j}, 1 if x e_j = e_j for all j has a
+    solution x else 0), from one elimination of x -> (x e_j)_j beside vec(I)."""
+    n, field = sc.dim, sc.field
+    pivots = linalg.echelon([row + [field.one if j == k else field.zero] for j in range(n)
+                             for k, row in enumerate(operator_matrix(sc, j))], field)[1]
+    return n - len([c for c in pivots if c < n]), int(n not in pivots)
 
 
 def fingerprint(pair):
-    """The ``Fingerprint`` of a pair."""
+    """The ``Fingerprint`` of a pair.  The spans are read off the echelon
+    rows of the product vectors, a basis of V.V and of [V,V]."""
     pair = pair.primitive
     mul, br = pair.mul, pair.bracket
     field = pair.field
-    sq, brs = _product_vectors(mul), _product_vectors(br)
-    cube = [
-        mul.evaluate(basis_i, v)
-        for v in sq
-        for basis_i in linalg.identity(mul.dim, field)
-    ]
+    sq, brs = (linalg.echelon([row for plane in sc.c for row in plane], field)[0]
+               for sc in (mul, br))
+    cube = [mul.evaluate(e, v) for e in linalg.identity(mul.dim, field) for v in sq]
+    dim_ann, has_unit = _right_multiplication(mul)
     return Fingerprint(
-        linalg.span_dim(sq, field),
-        linalg.span_dim(brs, field),
-        linalg.span_dim(sq + brs, field),
-        linalg.span_dim(cube, field),
-        _annihilator_dim(mul),
-        _annihilator_dim(br),
+        len(sq),
+        len(brs),
+        linalg.rank(sq + brs, field),
+        linalg.rank(cube, field),
+        dim_ann,
+        _right_multiplication(br)[0],
         delta_derivations(mul, 1).dim,
         delta_derivations(br, 1).dim,
         pair_derivations(pair).dim,
         delta_derivations(br, Fraction(1, 2)).dim,
-        _has_unit(mul),
+        has_unit,
     )
 
 

@@ -237,6 +237,9 @@ def test_iso_missing_file_exit_2(capsys):
                  "--witness", "/nonexistent.json"]) == 2
 
 
+#: a JSON nesting depth past the recursion limit of every supported Python
+DEEP = 100_000
+
 #: a bracket that is not anticommutative
 NOT_LIE = '{"dim": 2, "bracket": [[1, 1, 1, "1"]]}'
 
@@ -264,12 +267,15 @@ NOT_LIE = '{"dim": 2, "bracket": [[1, 1, 1, "1"]]}'
     (["check"], {"input": json.dumps({"dim": "x" * 5000})}),
     (["check"], {"input": json.dumps({"dim": 3, "mul": [[1, 1, 9, "1" * 5000]]})}),
     (["check", "--id", "x" * 5000], {}),
+    (["check"], {"input": "[" * 990 + "]" * 990}),
+    (["check"], {"input": "[" * DEEP + "]" * DEEP}),
+    (["iso"], {"lhs": '{"dim": 2}', "rhs": '{"dim": 2}', "witness": "[" * DEEP + "]" * DEEP}),
 ], ids=["zero-denominator", "top-level-list", "three-field-entry", "mul-not-a-list",
         "negative-dim", "witness-shape", "t-exponent-too-large", "unknown-row",
         "biderive-not-lie", "enumerate-not-lie", "delta-exponent", "alpha-exponent",
         "comm-extra-parameter", "t07-gamma-not-a-parameter", "d08-alpha-not-a-parameter",
         "missing-parameter", "input-with-parameter", "long-dim", "long-entry-out-of-range",
-        "long-unknown-id"])
+        "long-unknown-id", "nested-990", "nested-deep", "witness-nested-deep"])
 def test_malformed_input_exit_2(tmp_path, capsys, command, files):
     argv = list(command)
     for flag, text in files.items():

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 from fractions import Fraction as F
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tpa import linalg
-from tpa.algebra import StructureConstants, flatten, transport
+from tpa.algebra import StructureConstants, _map_rows, flatten, transport, unflatten
 from tpa.catalog import instantiate, t_series_samples
 from tpa.derivations import (
     NotALieAlgebra,
@@ -15,7 +16,9 @@ from tpa.derivations import (
     half_biderivations,
     pair_derivations,
 )
-from tpa.scalars import QQ
+from tpa.dspecial import derivation_matching_bracket
+from tpa.iso import Fingerprint, fingerprint
+from tpa.scalars import QQ, QQ_T, T
 
 
 def lie(name, *params):
@@ -83,8 +86,6 @@ def test_sl2_half_derivations_scalars_only():
 def test_heisenberg_half_derivations_regression():
     # no tabulated value exists; frozen from the solver and cross-checked
     # against the rank oracle
-    from tpa.algebra import _map_rows
-
     br = lie("h")
     rows = _map_rows(br, 1, -F(1, 2), -F(1, 2))
     space = delta_derivations(br, F(1, 2))
@@ -291,6 +292,117 @@ def test_half_biderivations_match_sympy(pair, symmetric):
     ours = _our_solutions(sympy, [[t[i][j][k] for i in range(n) for j in range(n) for k in range(n)]
                                   for t in space.basis])
     assert ours == theirs
+
+
+@functools.cache
+def _sympy_kronecker(sympy, n):
+    """The unit vectors e_j, the blocks I kron e_j, and each unit map E_m
+    with E_m kron I + I kron E_m."""
+    kron, eye = sympy.kronecker_product, sympy.eye(n)
+    e = eye.columnspace()
+    units = [sympy.Matrix(n, n, lambda i, j, m=m: int(i * n + j == m)) for m in range(n * n)]
+    return e, [kron(eye, ej) for ej in e], [(p, kron(p, eye) + kron(eye, p)) for p in units]
+
+
+def _sympy_fingerprint(sympy, pair):
+    """Each ``Fingerprint`` field by its definition, in sympy matrices.  A
+    product is M with x.y = M (x kron y): V.V is the column space of M,
+    V.(V.V) that of M (I kron M), x -> (x e_j)_j has the blocks
+    M (I kron e_j), and phi is a delta-derivation iff
+    phi M = delta M (phi kron I + I kron phi)."""
+    from sympy.polys.matrices import DomainMatrix
+
+    n = pair.dim
+    e, right, units = _sympy_kronecker(sympy, n)
+    mul, br = (sympy.Matrix(n, n * n, lambda k, ij, c=sc.c: sympy.Rational(c[ij // n][ij % n][k]))
+               for sc in (pair.mul, pair.bracket))
+
+    def rank(m):
+        return DomainMatrix.from_Matrix(m).rank()
+
+    def right_multiplication(m):
+        return sympy.Matrix.vstack(*(m * block for block in right))
+
+    def derivation_conditions(m, d):  # one column per unknown entry of phi
+        return sympy.Matrix.hstack(*((p * m - d * m * leibniz).reshape(n ** 3, 1)
+                                     for p, leibniz in units))
+
+    r_mul = right_multiplication(mul)
+    der_mul, der_br = derivation_conditions(mul, 1), derivation_conditions(br, 1)
+    return Fingerprint(
+        rank(mul), rank(br), rank(mul.row_join(br)),
+        rank(mul * sympy.kronecker_product(sympy.eye(n), mul)),
+        n - rank(r_mul), n - rank(right_multiplication(br)),
+        n * n - rank(der_mul), n * n - rank(der_br), n * n - rank(der_mul.col_join(der_br)),
+        n * n - rank(derivation_conditions(br, sympy.Rational(1, 2))),
+        int(rank(r_mul) == rank(r_mul.row_join(sympy.Matrix.vstack(*e)))))
+
+
+def test_fingerprint_matches_sympy_on_t_series():
+    sympy = pytest.importorskip("sympy")
+    for tid, params, pair in t_series_samples():
+        assert fingerprint(pair) == _sympy_fingerprint(sympy, pair), (tid, params)
+
+
+@settings(max_examples=10, deadline=None)
+@given(transported_samples())
+def test_fingerprint_matches_sympy(pair):
+    sympy = pytest.importorskip("sympy")
+    assert fingerprint(pair) == _sympy_fingerprint(sympy, pair)
+
+
+# -- the derived systems over Q(t) against their raw-row construction ----------
+
+def _raw_half_biderivation_rows(bracket, symmetric):
+    """The half-biderivation system as it was built from the raw
+    1/2-derivation rows: (rows, cells, number of unknowns)."""
+    n, field = bracket.dim, bracket.field
+    index = {}
+    cells = [index.setdefault((min(i, j), max(i, j), k) if symmetric else (i, j, k), len(index))
+             for i in range(n) for j in range(n) for k in range(n)]
+    unknown = unflatten(cells, n, 3)
+    planes = unflatten(_map_rows(bracket, 2, -1, -1), n, 3)
+    lie_rows = [unflatten(row, n) for i, plane in enumerate(planes)
+                for cell in plane[i + 1:] for row in cell if any(row)]
+    slots = [lambda c, z, r: unknown[c][z][r]]
+    if not symmetric:
+        slots.append(lambda c, z, r: unknown[z][c][r])
+    rows = []
+    for slot in slots:
+        for z in range(n):
+            for mat in lie_rows:
+                new = [field.zero] * len(index)
+                for r, coeffs in enumerate(mat):
+                    for c, v in enumerate(coeffs):
+                        if v:
+                            new[slot(c, z, r)] += v
+                rows.append(new)
+    return rows, cells, len(index)
+
+
+#: the T-series families with one parameter, taken at beta = t over Q(t)
+Q_T_FAMILIES = ["T03", "T04", "T07", "T10", "T11", "T12", "T17", "T19"]
+
+
+@pytest.mark.parametrize("tid", Q_T_FAMILIES)
+def test_derived_systems_over_q_t_match_raw_rows(tid):
+    pair = instantiate(tid, (T,), field=QQ_T)
+    n = pair.dim
+    raw_pair = [r for sc in (pair.mul, pair.bracket) for r in _map_rows(sc, 1, -1, -1)]
+    expected = [tuple(v) for v in linalg.nullspace(raw_pair, n * n, QQ_T)]
+    assert pair_derivations(pair).vectors == tuple(expected)
+    for symmetric in (True, False):
+        rows, cells, nunk = _raw_half_biderivation_rows(pair.bracket, symmetric)
+        expected = [tuple(v[c] for c in cells) for v in linalg.nullspace(rows, nunk, QQ_T)]
+        assert half_biderivations(pair.bracket, symmetric).vectors == tuple(expected)
+    # the same answer, not only the same feasibility: feasible for five of
+    # the eight brackets, never for the (symmetric) product
+    for bracket in (pair.bracket, pair.mul):
+        raw = [r for r in _map_rows(pair.mul, 1, -1, -1) if any(r)]
+        rhs = [QQ_T.zero] * len(raw) + flatten(bracket.c)
+        x = linalg.solve(raw + _map_rows(pair.mul, 0, 1, -1), rhs, QQ_T)
+        expected = None if x is None else [list(r) for r in unflatten(x, n)]
+        assert derivation_matching_bracket(pair.mul, bracket) == expected
 
 
 # -- the bases pinned in their deterministic order -----------------------------

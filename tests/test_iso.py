@@ -6,6 +6,7 @@ import pytest
 from tpa import iso
 from tpa.algebra import AlgebraPair, StructureConstants
 from tpa.catalog import instantiate, known_isomorphisms, t_series_samples
+from tpa.derivations import pair_derivations
 from tpa.iso import catalog_fingerprint, distinguish, fingerprint, verify_witness
 from tpa.linalg import DimensionMismatch, identity, inv
 from tpa.scalars import QQ
@@ -165,6 +166,21 @@ def test_fingerprint_runs_once_per_normal_form(monkeypatch):
     assert len(forms) == 64
     assert len(calls) == len(forms)
     assert set(calls) == forms
+
+
+def test_fingerprint_reaches_pair_derivations_once(monkeypatch):
+    # the benchmark's tracer counts Der(pair) through the name iso binds, and
+    # fails a run that records no such call
+    calls = []
+
+    def counted(pair):
+        calls.append(pair)
+        return pair_derivations(pair)
+
+    monkeypatch.setattr(iso, "pair_derivations", counted)
+    pair = instantiate("T09", [F(2), F(1)])
+    fingerprint(pair)
+    assert calls == [pair.primitive]
 
 
 def test_audits_share_fingerprints():
