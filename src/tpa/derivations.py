@@ -8,6 +8,12 @@ one solver that reads those rows:
       phi(x*y) = delta (phi(x)*y + x*phi(y))
 * the residual checker ``derivation_residual`` (rows times phi).
 
+``delta_derivations`` eliminates each system once per integer normal form
+and delta while it is among the last 8 it was asked for (an
+``lru_cache``), so the derived systems below and ``iso.fingerprint``
+share one elimination per component.  The memo is bounded because the
+tensors it is keyed on can live as long as the process.
+
 The derived systems are read off the reduced rows (``SolutionSpace.form``)
 of those spaces, never off ``_map_rows``:
 
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 
 from . import linalg
@@ -94,14 +100,23 @@ class SolutionSpace:
 
 def delta_derivations(sc, delta):
     """All phi with phi(x*y) = delta (phi(x)*y + x*phi(y)); delta = 1 gives
-    ordinary derivations, delta = 1/2 the half-derivations."""
-    sc = sc.primitive
+    ordinary derivations, delta = 1/2 the half-derivations.  The space may
+    be shared (see above): callers must not mutate its ``rows`` or ``form``."""
+    return _delta_derivations_of_primitive(sc.primitive, delta)
+
+
+@lru_cache(maxsize=8)
+def _delta_derivations_of_primitive(sc, delta):
     n = sc.dim
     # the rows times the denominator q of delta: the same nullspace, and
     # integer rows, since the normal form is an integer tensor
     q = Fraction(delta).denominator
     return SolutionSpace(n, 2, _map_rows(sc, q, -q * delta, -q * delta), n * n, range(n * n),
                          sc.field)
+
+
+delta_derivations.cache_info = _delta_derivations_of_primitive.cache_info
+delta_derivations.cache_clear = _delta_derivations_of_primitive.cache_clear
 
 
 def derivation_residual(sc, mat, delta):

@@ -15,17 +15,21 @@ Bareiss loop of its own) and the textbook loop of ``test_linalg``.
   coordinate 1.
 * A solution x: A x = b.  No solution: a Farkas vector y with y A = 0 and
   y b != 0.
+
+The ``Q(t)`` inverses of one ``degenerate --all`` run are checked the same
+way: g times the inverse is the identity.
 """
 
 import hashlib
 
-from test_cli import VERIFY_PAPER_SHA256
+from test_cli import DEGENERATE_ALL_SHA256, VERIFY_PAPER_SHA256
 from test_linalg import textbook_nullspace, textbook_rref
 
 from tpa import linalg
 from tpa.cli import main
-from tpa.derivations import SolutionSpace
+from tpa.derivations import SolutionSpace, delta_derivations
 from tpa.iso import catalog_fingerprint
+from tpa.scalars import QQ_T
 
 
 def _image(a, v, field):
@@ -93,10 +97,34 @@ def test_verify_paper_linear_algebra_is_certified(monkeypatch, capsys):
     monkeypatch.setattr(linalg, "solve", certified_solve)
     monkeypatch.setattr(SolutionSpace, "dim", property(certified_dim))
     monkeypatch.delenv("TPA_SAMPLE_SEED", raising=False)
-    catalog_fingerprint.cache_clear()  # so each fingerprint's ranks are computed here
+    # so each fingerprint's ranks and each derivation form are computed here
+    catalog_fingerprint.cache_clear()
+    delta_derivations.cache_clear()
     code = main(["verify-paper"])
-    catalog_fingerprint.cache_clear()  # and none computed under the wrappers outlives them
+    # and none computed under the wrappers outlives them
+    catalog_fingerprint.cache_clear()
+    delta_derivations.cache_clear()
     raw = capsys.readouterr().out.encode()
     assert code == 1
     assert hashlib.sha256(raw).hexdigest() == VERIFY_PAPER_SHA256
     assert all(counts.values()), counts
+
+
+def test_degenerate_all_inverses_are_certified(monkeypatch, capsys):
+    counts = {"Q": 0, "Q(t)": 0}
+    inv = linalg.inv
+
+    def certified_inv(a, field):
+        b = inv(a, field)
+        product = [_image(a, col, field) for col in linalg.transpose(b)]  # columns of a b
+        assert not any(x - (field.one if i == j else field.zero)
+                       for j, col in enumerate(product) for i, x in enumerate(col))
+        counts["Q(t)" if field is QQ_T else "Q"] += 1
+        return b
+
+    monkeypatch.setattr(linalg, "inv", certified_inv)
+    code = main(["degenerate", "--all"])
+    raw = capsys.readouterr().out.encode()
+    assert code == 0
+    assert hashlib.sha256(raw).hexdigest() == DEGENERATE_ALL_SHA256
+    assert counts == {"Q": 0, "Q(t)": 30}  # one per table row

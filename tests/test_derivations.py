@@ -16,7 +16,7 @@ from tpa.derivations import (
     half_biderivations,
     pair_derivations,
 )
-from tpa.dspecial import derivation_matching_bracket
+from tpa.dspecial import derivation_matching_bracket, is_strong_d_special
 from tpa.iso import Fingerprint, fingerprint
 from tpa.scalars import QQ, QQ_T, T
 
@@ -423,3 +423,96 @@ def test_t_series_bases_are_pinned():
     assert len(records) == 70
     blob = json.dumps(records, separators=(",", ":")).encode()
     assert hashlib.sha256(blob).hexdigest() == BASES_SHA256
+
+
+# -- one elimination per normal form and delta ---------------------------------
+
+def _answers(space):
+    return space.dim, space.vectors, space.basis
+
+
+def _read_through_derived_systems(pair):
+    """Every reader of the cached component forms, once."""
+    fingerprint(pair)
+    pair_derivations(pair).basis
+    half_biderivations(pair.bracket).basis
+    half_biderivations(pair.bracket, False).basis
+    derivation_matching_bracket(pair.mul, pair.bracket)
+
+
+def _assert_memo_transparent(pair):
+    for sc, delta in ((pair.mul, 1), (pair.bracket, 1), (pair.bracket, F(1, 2))):
+        delta_derivations.cache_clear()
+        cold = delta_derivations(sc, delta)
+        expected = _answers(cold)
+        _read_through_derived_systems(pair)
+        hits = delta_derivations.cache_info().hits
+        warm = delta_derivations(sc, delta)
+        assert delta_derivations.cache_info().hits == hits + 1
+        assert warm is cold
+        assert _answers(warm) == expected
+
+
+def test_memo_is_transparent_on_t_series():
+    for _, _, pair in t_series_samples():
+        _assert_memo_transparent(pair)
+
+
+@settings(max_examples=10, deadline=None)
+@given(transported_samples())
+def test_memo_is_transparent(pair):
+    _assert_memo_transparent(pair)
+
+
+def test_memo_is_keyed_on_the_normal_form():
+    delta_derivations.cache_clear()
+    sc = instantiate("T09", [F(2), F(1)]).bracket
+    scaled = StructureConstants(sc.dim, sc.field,
+                                unflatten([x * F(3, 2) for x in flatten(sc.c)], sc.dim, 3))
+    assert scaled != sc
+    assert delta_derivations(scaled, 1) is delta_derivations(sc, 1)
+    assert delta_derivations.cache_info().misses == 1
+
+
+def test_memo_hits_over_q_t():
+    delta_derivations.cache_clear()
+    bracket = instantiate("T11", (T,), field=QQ_T).bracket
+    space = delta_derivations(bracket, F(1, 2))
+    again = instantiate("T11", (T,), field=QQ_T).bracket
+    assert again is not bracket
+    assert delta_derivations(again, F(1, 2)) is space
+    assert delta_derivations.cache_info()[:2] == (1, 1)  # hits, misses
+
+
+def _form_snapshot(pair):
+    return [(tuple(map(tuple, space.form[0])), tuple(space.form[1]))
+            for space in (delta_derivations(pair.mul, 1), delta_derivations(pair.bracket, 1),
+                          delta_derivations(pair.bracket, F(1, 2)))]
+
+
+def test_no_delta_system_is_eliminated_twice(monkeypatch):
+    calls = []
+    echelon = linalg.echelon
+
+    def counted(rows, field):
+        calls.append(len(rows))
+        return echelon(rows, field)
+
+    monkeypatch.setattr(linalg, "echelon", counted)
+    g = [[F(1), F(1), F(0)], [F(0), F(1), F(2)], [F(1), F(0), F(-1)]]
+    for tid, params, pair in t_series_samples():
+        delta_derivations.cache_clear()
+        p = transport(pair, g)
+        fingerprint(p)
+        calls.clear()
+        delta_derivations(p.mul, 1).dim
+        assert calls == [], (tid, params)
+        half_biderivations(p.bracket).dim
+        assert len(calls) == 1, (tid, params)
+        calls.clear()
+        is_strong_d_special(p)
+        assert len(calls) == 1, (tid, params)
+        # the derived systems share the cached forms and leave them as they were
+        before = _form_snapshot(p)
+        _read_through_derived_systems(p)
+        assert _form_snapshot(p) == before, (tid, params)
