@@ -2,7 +2,10 @@
 
 Every subcommand prints a single JSON document on stdout and is
 deterministic given its inputs.  Exit codes: 0 success / verification
-passed, 1 verification failed, 2 usage or parse error.
+passed, 1 verification failed, 2 usage or parse error.  ``main`` alone
+maps exceptions to exit codes: ``CliError`` and the library's input errors
+(an unknown id or row, an inadmissible parameter, a bracket that is not a
+Lie bracket) exit 2 with their message as one stderr line.
 """
 
 from __future__ import annotations
@@ -50,16 +53,13 @@ def _instantiate(args, family_id):
     Each parameter binds to the option of its name (``args._param_option``
     names the exceptions); an option the family does not take, or a
     missing one, is a usage error."""
-    try:
-        names = entry(family_id).param_names
-        options = [args._param_option.get(name, name) for name in names]
-        _reject_params(args, family_id, allowed=options)
-        missing = [f"--{o}" for o in options if getattr(args, o) is None]
-        if missing:
-            raise CliError(f"{family_id} needs {', '.join(missing)}")
-        return instantiate(family_id, [_rational(o, getattr(args, o)) for o in options])
-    except (UnknownId, InadmissibleParameter) as exc:
-        raise CliError(str(exc)) from exc
+    names = entry(family_id).param_names
+    options = [args._param_option.get(name, name) for name in names]
+    _reject_params(args, family_id, allowed=options)
+    missing = [f"--{o}" for o in options if getattr(args, o) is None]
+    if missing:
+        raise CliError(f"{family_id} needs {', '.join(missing)}")
+    return instantiate(family_id, [_rational(o, getattr(args, o)) for o in options])
 
 
 def _reject_params(args, owner, allowed=()):
@@ -76,14 +76,21 @@ def _rational(name, text):
         raise CliError(f"bad rational for --{name}: {excerpt(text)}") from exc
 
 
+def _json_int(text):
+    try:
+        return int(text)
+    except ValueError:  # past the digit limit; int's own message is 168 bytes
+        raise ValueError("JSON integer too long") from None
+
+
 def _read_json(path, what, parse):
     """parse(the JSON document in the file at path, '-' for stdin); a read
     or parse failure is a CliError naming the file."""
     try:
         if path == "-":
-            return parse(json.load(sys.stdin))
+            return parse(json.load(sys.stdin, parse_int=_json_int))
         with open(path) as fh:
-            return parse(json.load(fh))
+            return parse(json.load(fh, parse_int=_json_int))
     except RecursionError as exc:  # its own message is long and names the decoder
         raise CliError(f"cannot read {what} file {path}: JSON nested too deeply") from exc
     except (OSError, ValueError) as exc:
@@ -141,20 +148,14 @@ def cmd_der(args):
 
 def cmd_biderive(args):
     pair = _resolve_input(args)
-    try:
-        space = half_biderivations(pair.bracket, symmetric=not args.full)
-    except NotALieAlgebra as exc:
-        raise CliError(str(exc)) from exc
+    space = half_biderivations(pair.bracket, symmetric=not args.full)
     _emit(_space_doc(space), args.pretty)
     return 0
 
 
 def cmd_enumerate(args):
     pair = _resolve_input(args)
-    try:
-        family = tp_family(pair.bracket)
-    except NotALieAlgebra as exc:
-        raise CliError(str(exc)) from exc
+    family = tp_family(pair.bracket)
     grid = []
     for coords in _sample_coords(family.dim):
         grid.append({
@@ -216,13 +217,8 @@ def cmd_dspecial(args):
 
 
 def cmd_degenerate(args):
-    if args.row is not None:
-        try:
-            reports = degeneration.verify_row(args.row)
-        except degeneration.UnknownRow as exc:
-            raise CliError(str(exc)) from exc
-    else:
-        reports = degeneration.verify_all()
+    reports = (degeneration.verify_row(args.row) if args.row is not None
+               else degeneration.verify_all())
     rows = []
     for r in reports:
         rows.append({
@@ -352,12 +348,10 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, UnknownId, InadmissibleParameter, NotALieAlgebra,
+            degeneration.UnknownRow) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -3,15 +3,19 @@ import json
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from tpa.algebra import pair_from_json
 from tpa.cli import main
 from tpa.scalars import QQ_T, T
 
 
 def run(capsys, *argv):
     code = main(list(argv))
-    out = capsys.readouterr().out
-    return code, json.loads(out) if out.strip() else None
+    captured = capsys.readouterr()
+    if code != 2:
+        assert captured.err == ""
+    return code, json.loads(captured.out) if captured.out.strip() else None
 
 
 def test_check_t05(capsys):
@@ -267,6 +271,9 @@ NOT_LIE = '{"dim": 2, "bracket": [[1, 1, 1, "1"]]}'
     (["check"], {"input": json.dumps({"dim": "x" * 5000})}),
     (["check"], {"input": json.dumps({"dim": 3, "mul": [[1, 1, 9, "1" * 5000]]})}),
     (["check", "--id", "x" * 5000], {}),
+    (["check"], {"input": '{"dim": ' + "1" * 5000 + "}"}),
+    (["check"], {"input": '{"dim": 3, "mul": [[1, 1, ' + "1" * 5000 + ', "1"]]}'}),
+    (["check"], {"input": '{"dim": 3, "mul": [[1, 1, 1, ' + "1" * 5000 + "]]}"}),
     (["check"], {"input": "[" * 990 + "]" * 990}),
     (["check"], {"input": "[" * DEEP + "]" * DEEP}),
     (["iso"], {"lhs": '{"dim": 2}', "rhs": '{"dim": 2}', "witness": "[" * DEEP + "]" * DEEP}),
@@ -275,7 +282,8 @@ NOT_LIE = '{"dim": 2, "bracket": [[1, 1, 1, "1"]]}'
         "biderive-not-lie", "enumerate-not-lie", "delta-exponent", "alpha-exponent",
         "comm-extra-parameter", "t07-gamma-not-a-parameter", "d08-alpha-not-a-parameter",
         "missing-parameter", "input-with-parameter", "long-dim", "long-entry-out-of-range",
-        "long-unknown-id", "nested-990", "nested-deep", "witness-nested-deep"])
+        "long-unknown-id", "digit-limit-dim", "digit-limit-index", "digit-limit-value",
+        "nested-990", "nested-deep", "witness-nested-deep"])
 def test_malformed_input_exit_2(tmp_path, capsys, command, files):
     argv = list(command)
     for flag, text in files.items():
@@ -288,6 +296,99 @@ def test_malformed_input_exit_2(tmp_path, capsys, command, files):
     assert len(captured.err.strip().splitlines()) == 1
     assert len(captured.err.encode()) < 200  # the offending value is quoted by an excerpt
     assert "Traceback" not in captured.err
+
+
+#: every command that reads one algebra file through --input
+INPUT_COMMANDS = (["check"], ["der"], ["der", "--mul"], ["biderive"], ["biderive", "--full"],
+                  ["enumerate"], ["fingerprint"], ["dspecial", "--feasible", "--all-derivations"])
+
+#: iso's files where the drawn document is not
+ISO_FILES = {"lhs": '{"dim": 2, "mul": [[1, 1, 1, "1"]]}',
+             "rhs": '{"dim": 2, "mul": [[1, 1, 1, "1"]]}',
+             "witness": '[["1", "0"], ["0", "1"]]'}
+
+#: small JSON scalars of every type, and scalar strings that parse, that
+#: exceed the exponent bound of t (64), that divide by zero or that are no
+#: scalar
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 4), st.floats(),
+    st.sampled_from(["1", "-2", "1/2", "0", "t", "-t", "t^-1", "2*t^3", "1 - 2*t",
+                     "(1 + t)/(3*t)", "t^65", "1/0", "(1+t)/(t-t)", "x", "", "1.5"]))
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["dim", "mul", "bracket", "x"]), inner, max_size=3),
+    max_leaves=10)
+_indices = st.one_of(st.integers(1, 3), st.integers(-1, 5), st.booleans(), st.floats(), st.none())
+_entries = st.one_of(st.tuples(_indices, _indices, _indices, _scalars).map(list), _values)
+_tensors = st.one_of(st.lists(_entries, max_size=4), _values)
+
+#: a scalar string and its negative, for anticommutative brackets
+_signed = st.sampled_from([("1", "-1"), ("1/2", "-1/2"), ("t", "-t"), ("t^-1", "-t^-1"),
+                           ("2*t^3", "-2*t^3"), ("t^65", "-t^65"), ("1/0", "-1/0")])
+
+
+@st.composite
+def _algebras(draw):
+    """A document in range: dim 1..3, a product and an anticommutative
+    bracket on in-range indices (a Lie bracket whenever dim < 3)."""
+    dim = draw(st.integers(1, 3))
+    index = st.integers(1, dim)
+    mul = draw(st.lists(st.tuples(index, index, index, _signed.map(lambda s: s[0])).map(list),
+                        max_size=4))
+    bracket = []
+    for i, j, k, (v, minus_v) in draw(st.lists(st.tuples(index, index, index, _signed),
+                                               max_size=3)):
+        if i != j:
+            bracket += [[i, j, k, v], [j, i, k, minus_v]]
+    return {"dim": dim, "mul": mul, "bracket": bracket}
+
+
+_documents = st.one_of(
+    _algebras(),
+    _values,
+    st.fixed_dictionaries({"dim": st.one_of(st.integers(1, 3), st.integers(-1, 5), _values)},
+                          optional={"mul": _tensors, "bracket": _tensors}),
+    st.lists(st.lists(_scalars, min_size=2, max_size=2), min_size=2, max_size=2),
+)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_documents)
+def test_exit_code_contract_on_generated_input(tmp_path, capsys, doc):
+    # 0 ok, 1 verification failed, 2 usage or parse error with one short
+    # stderr line; an algebra file pair_from_json rejects always exits 2,
+    # and the single-algebra commands verify nothing, so never exit 1
+    text = json.dumps(doc)
+    try:
+        pair_from_json(json.loads(text))
+        rejected = False
+    except ValueError:
+        rejected = True
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    runs = [([*command, "--input", str(path)], True) for command in INPUT_COMMANDS]
+    for slot in ISO_FILES:
+        argv = ["iso"]
+        for flag, content in {**ISO_FILES, slot: text}.items():
+            (tmp_path / f"{slot}-{flag}.json").write_text(content)
+            argv += [f"--{flag}", str(tmp_path / f"{slot}-{flag}.json")]
+        runs.append((argv, slot != "witness"))
+    for argv, as_algebra in runs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1, (argv, captured.err)
+            assert len(captured.err.encode()) < 200, (argv, captured.err)
+        else:
+            json.loads(captured.out)
+            assert captured.err == "", argv
+            assert argv[0] == "iso" or code == 0, argv
+        if rejected and as_algebra:
+            assert code == 2, argv
 
 
 LONG_MALFORMED = "x" * 5000

@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from tpa.algebra import StructureConstants, check_identity, is_transposed_poisson
+from tpa import linalg
+from tpa.algebra import AlgebraPair, StructureConstants, check_identity, is_transposed_poisson
 from tpa.catalog import instantiate, t_series_samples
 from tpa.derivations import NotALieAlgebra
 from tpa.enumeration import assoc_residual, check_membership, member_pair, tp_family
@@ -105,6 +107,51 @@ def test_g2_zero_zero_set():
     assert not g2_0_assoc_condition(*bad)
     coords = fam.space.coords_of(g2_0_family_product(*bad).c)
     assert coords is not None and not associative(fam, coords)
+
+
+def _residual(product, bracket):
+    """The nonzero coordinates of the associativity residual of ``product``,
+    keyed by (cell, coordinate)."""
+    violations = check_identity(AlgebraPair(product, bracket), "associative").violations
+    return {(cell, m): v for cell, r in violations for m, v in enumerate(r) if v}
+
+
+@pytest.mark.parametrize("params, make, form, nonzero", [
+    ((), g1_family_product, {}, 0),
+    ((F(2),), g2_2_family_product, {(0, 2): 1, (1, 4): -1}, 2),
+    ((F(0),), g2_0_family_product, {(1, 1): 1, (1, 4): -1, (0, 2): 1, (0, 3): -1}, 4),
+], ids=["g1", "g2-alpha-2", "g2-alpha-0"])
+def test_associativity_residual_by_polarisation(params, make, form, nonzero):
+    # The product is linear in its k parameters and the residual R quadratic
+    # in the product, so each residual coordinate at p is the quadratic form
+    # sum_i p_i^2 R(u_i) + sum_{i<j} p_i p_j (R(u_i + u_j) - R(u_i) - R(u_j))
+    # in the unit members u_i.  Each coordinate must be +-``form`` (the
+    # printed condition as {(i, j): coefficient of p_i p_j}, parameters in
+    # signature order), which proves criterion 3 at every point.  The u_i
+    # are independent in the family, so they parametrise all of it.
+    fam = tp_family(lie("g2" if params else "g1", *params))
+    k = fam.dim
+    unit = [tuple(int(m == i) for m in range(k)) for i in range(k)]
+    coords = [fam.space.coords_of(make(*u).c) for u in unit]
+    assert None not in coords and linalg.rank(coords, fam.space.field) == k
+
+    def residual(*members):  # at the sum of the members
+        return _residual(make(*map(sum, zip(*members))), fam.lie)
+
+    r = [residual(u) for u in unit]
+    parts = {(i, i): r[i] for i in range(k)}
+    for i, j in itertools.combinations(range(k), 2):
+        rij = residual(unit[i], unit[j])
+        parts[i, j] = {c: rij.get(c, 0) - r[i].get(c, 0) - r[j].get(c, 0)
+                       for c in {*r[i], *r[j], *rij}}
+    forms = {}
+    for ij, part in parts.items():
+        for c, v in part.items():
+            if v:
+                forms.setdefault(c, {})[ij] = v
+    assert len(forms) == nonzero
+    negated = {ij: -v for ij, v in form.items()}
+    assert all(f in (form, negated) for f in forms.values()), forms
 
 
 def test_every_catalog_product_is_family_member():
