@@ -21,14 +21,7 @@ from fractions import Fraction
 from importlib import resources
 
 from . import linalg
-from .algebra import (
-    gl_action,
-    limit_pair,
-    matrix_from_json,
-    pair_from_json,
-    pair_to_json,
-    pairs_equal,
-)
+from .algebra import gl_action, limit_pair, matrix_from_json, pair_to_json, pairs_equal
 from .catalog import instantiate
 from .derivations import pair_derivations
 from .iso import catalog_fingerprint, verify_witness
@@ -52,6 +45,7 @@ class DegenerationInstance:
     g_columns: tuple       # 3 columns of Q(t) values
     post_witness: tuple = None
     note: str = None
+    index: int = 0         # position within its row
 
     def source_pair(self):
         return instantiate(*self.source, field=QQ_T)
@@ -94,41 +88,39 @@ class DegenerationReport:
 
 
 def load_rows():
-    """Table instances from the package data file.
+    """Table instances from the package data file, in table order.
 
-    Each document is the t-substituted source pair in the standard algebra
-    JSON format, extended with a ``family`` block (basis columns, source
-    and target coordinates, optional post-limit witness).  The embedded
-    tensors are cross-checked against the catalog instantiation."""
+    The file holds one document per row (number, name, optional note) with
+    its instances; each instance names its source and target by catalog
+    key, gives the basis columns g over Q(t) and optionally a post-limit
+    witness.  No tensor is stored: the pairs are the catalog's."""
     data = json.loads(resources.files("tpa.data").joinpath("degenerations.json").read_text())
     return _rows_from_data(data)
 
 
 def _rows_from_data(data):
     """The one place where table text becomes values: each scalar is
-    parsed once, and the instances hold exact catalog keys."""
+    parsed once, and each instance holds exact catalog keys and its
+    position within its row."""
     rows = []
     for doc in data["rows"]:
-        fam = doc["family"]
-        src, tgt = fam["source"], fam["target"]
-        inst = DegenerationInstance(
-            row=fam["row"],
-            name=fam["name"],
-            source=(src["id"], tuple(map(QQ_T.parse, src["params"]))),
-            target=(tgt["id"], tuple(map(QQ.parse, tgt["params"]))),
-            g_columns=tuple(tuple(map(QQ_T.parse, col)) for col in fam["g"]),
-            post_witness=(tuple(map(tuple, matrix_from_json(fam["post_witness"])))
-                          if fam.get("post_witness") else None),
-            note=fam.get("note"),
-        )
-        embedded = pair_from_json({k: doc[k] for k in ("dim", "mul", "bracket")}, field=QQ_T)
-        if not pairs_equal(embedded, inst.source_pair()):
-            raise ValueError(f"row {fam['row']}: embedded tensors disagree with the catalog")
-        rows.append(inst)
+        for index, inst in enumerate(doc["instances"]):
+            src, tgt = inst["source"], inst["target"]
+            rows.append(DegenerationInstance(
+                row=doc["row"],
+                name=doc["name"],
+                source=(src["id"], tuple(map(QQ_T.parse, src["params"]))),
+                target=(tgt["id"], tuple(map(QQ.parse, tgt["params"]))),
+                g_columns=tuple(tuple(map(QQ_T.parse, col)) for col in inst["g"]),
+                post_witness=(tuple(map(tuple, matrix_from_json(inst["post_witness"])))
+                              if inst.get("post_witness") else None),
+                note=doc.get("note"),
+                index=index,
+            ))
     return rows
 
 
-def verify_instance(inst, index=0):
+def verify_instance(inst):
     """Run one table instance: act, take the limit, compare with the target,
     then evaluate the closed necessary conditions at the rational curve
     samples (weak derivation test for family rows, strict otherwise)."""
@@ -137,7 +129,7 @@ def verify_instance(inst, index=0):
     except linalg.SingularMatrix:
         raise SingularFamily(f"row {inst.row}: parametrized basis is singular") from None
     report = DegenerationReport(
-        row=inst.row, name=inst.name, instance=index, source=inst.source,
+        row=inst.row, name=inst.name, instance=inst.index, source=inst.source,
         target=inst.target, matched="failed", family_source=inst.is_family(),
         note=inst.note,
     )
@@ -169,11 +161,11 @@ def verify_row(row_number):
     insts = [r for r in load_rows() if r.row == row_number]
     if not insts:
         raise UnknownRow(f"no degeneration row {row_number}")
-    return [verify_instance(inst, i) for i, inst in enumerate(insts)]
+    return [verify_instance(inst) for inst in insts]
 
 
 def verify_all():
-    return [verify_instance(inst, i) for i, inst in enumerate(load_rows())]
+    return [verify_instance(inst) for inst in load_rows()]
 
 
 def witness_errata(reports):

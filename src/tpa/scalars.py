@@ -458,27 +458,27 @@ def parse_ratfunc(s):
     Accepted forms: monomial sums with rational coefficients and optionally
     negative exponents ("5/6", "2*t^3", "t^-1", "1 - 2*t"), and a quotient
     of two such sums at the top-level "/", each side optionally
-    parenthesised: "(1 + t)/(3*t)", "1/t".
+    parenthesised: "(1 + t)/(3*t)", "1/t".  Text with no top-level "/"
+    gets the error of the monomial-sum reading.
     """
     s = s.strip()
     try:
         return _terms_to_ratfunc(_parse_terms(s))
     except ScalarParseError:
-        pass
-    depth = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
-            left, right = s[:i].strip(), s[i + 1:].strip()
-            if right.startswith("(") and right.endswith(")"):
-                right = right[1:-1]
-            if left.startswith("(") and left.endswith(")"):
-                left = left[1:-1]
-            return _quotient(left, right)
-    raise ScalarParseError(f"cannot parse rational function: {excerpt(s)}")
+        depth = 0
+        for i, ch in enumerate(s):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+            elif ch == "/" and depth == 0:
+                left, right = s[:i].strip(), s[i + 1:].strip()
+                if right.startswith("(") and right.endswith(")"):
+                    right = right[1:-1]
+                if left.startswith("(") and left.endswith(")"):
+                    left = left[1:-1]
+                return _quotient(left, right)
+        raise
 
 
 def format_rational(v):

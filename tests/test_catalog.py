@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -166,6 +167,80 @@ def test_t_series_profile_size():
         e = CATALOG[tid]
         if e.param_names:
             assert len(sample_params(tid)) >= 3, tid
+
+
+def _rational_roots(coeffs):
+    """The rational roots of a polynomial (coefficients lowest degree
+    first), by the rational root theorem on its integer multiple."""
+    k = next(i for i, c in enumerate(coeffs) if c)
+    scale = math.lcm(*(F(c).denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs[k:]]
+
+    def divisors(n):
+        small = [d for d in range(1, math.isqrt(abs(n)) + 1) if n % d == 0]
+        return set(small) | {abs(n) // d for d in small}
+
+    candidates = {F(sign * p, q) for p in divisors(ints[0]) for q in divisors(ints[-1])
+                  for sign in (1, -1)}
+    return {r for r in candidates if sum(c * r ** i for i, c in enumerate(ints)) == 0} | (
+        {F(0)} if k else set())
+
+
+def _specialisation_roots(tid):
+    """(the rational values at which the Q(t) fingerprint and strong
+    D-special answer of ``tid`` at beta = t may fail to specialise, both
+    answers): the roots of every pivot of every elimination behind them
+    and of every structure constant's denominator (Sit, J. Symbolic
+    Comput. 13 (1992))."""
+    from tpa import linalg
+    from tpa.derivations import delta_derivations
+    from tpa.dspecial import is_strong_d_special
+    from tpa.scalars import QQ_T, T
+
+    pair = instantiate(tid, (T,), field=QQ_T)
+    roots = set().union(*(_rational_roots(v.den) for sc in (pair.mul, pair.bracket)
+                          for plane in sc.c for row in plane for v in row))
+    echelon = linalg.echelon
+
+    def traced(rows, field):
+        m, pivots = echelon(rows, field)
+        for row, c in zip(m, pivots):
+            roots.update(_rational_roots(row[c].num), _rational_roots(row[c].den))
+        return m, pivots
+
+    delta_derivations.cache_clear()  # a memo hit would skip an elimination
+    linalg.echelon = traced
+    try:
+        answers = fingerprint(pair), is_strong_d_special(pair)
+    finally:
+        linalg.echelon = echelon
+    return roots, answers
+
+
+#: the one-parameter T-series families: the pivot roots of their Q(t)
+#: answers, and those of the roots where the Q answers really differ
+SPECIALISATION_ROOTS = {
+    "T03": ({0}, {0}), "T04": ({0}, {0}), "T07": ({0}, {0}), "T12": ({0}, {0}),
+    "T17": ({0}, {0}), "T10": ({0, F(1, 2), 1, 2}, {0, F(1, 2), 2}),
+    "T11": ({0, F(1, 2), 1, 2}, {0, F(1, 2), 2}), "T19": ({0}, set()),  # T19^0 is inadmissible
+}
+
+
+@pytest.mark.parametrize("tid", sorted(SPECIALISATION_ROOTS))
+def test_sample_pools_hold_every_special_value(tid):
+    # the Q(t) answers hold at every rational value but the pivot roots, so
+    # a sample pool holding every admissible root covers the whole family
+    from tpa.dspecial import is_strong_d_special
+
+    roots, answers = _specialisation_roots(tid)
+    admissible = {r for r in roots if not (CATALOG[tid].last_nonzero and r == 0)}
+    assert admissible <= {p for (p,) in sample_params(tid)}
+    special = {r for r in admissible
+               if (fingerprint(q := instantiate(tid, (r,))), is_strong_d_special(q)) != answers}
+    assert (roots, special) == SPECIALISATION_ROOTS[tid]
+    for r in (F(3), F(-5, 7)):  # outside every root set
+        q = instantiate(tid, (r,))
+        assert (fingerprint(q), is_strong_d_special(q)) == answers, r
 
 
 def test_all_witnesses_verify():

@@ -89,7 +89,7 @@ def test_fingerprint(capsys):
 
 
 #: sha256 of the whole ``degenerate --all`` stdout
-DEGENERATE_ALL_SHA256 = "0c614a0e658371b1cf019d238faf7563dc10a8db100f2623aec647e398117feb"
+DEGENERATE_ALL_SHA256 = "b1b878e86c5446bbcc8f2f2341b40eb0eeee0df1c0c60a712d589c8e1661fb59"
 
 
 def test_degenerate_all(capsys):

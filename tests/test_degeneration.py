@@ -64,8 +64,9 @@ def test_target_params_parsed_to_values():
     data = json.loads(
         resources.files("tpa.data").joinpath("degenerations.json").read_text()
     )
-    doc = json.loads(json.dumps(next(d for d in data["rows"] if d["family"]["row"] == 2)))
-    doc["family"]["target"]["params"] = ["6/2"]
+    doc = json.loads(json.dumps(next(d for d in data["rows"] if d["row"] == 2)))
+    doc["instances"] = doc["instances"][:1]
+    doc["instances"][0]["target"]["params"] = ["6/2"]
     (inst,) = _rows_from_data({"rows": [doc]})
     assert inst.target == ("T03", (3,))
 
@@ -74,6 +75,15 @@ def test_row_numbers():
     assert sorted({inst.row for inst in load_rows()}) == list(range(1, 18))
     with pytest.raises(ValueError):
         verify_row(42)
+
+
+def test_row_and_all_number_instances_alike():
+    # an instance is numbered by its position within its row, whether the
+    # row is run alone or as part of the whole table
+    reports = verify_all()
+    for n in range(1, 18):
+        assert verify_row(n) == [r for r in reports if r.row == n], n
+    assert [r.instance for r in reports if r.row == 2] == [0, 1, 2]
 
 
 def test_row_one_is_exact():
@@ -290,23 +300,21 @@ def test_loaded_rows_have_notes_where_corrected():
 
 
 def test_data_file_schema_and_integrity():
-    # documents are the standard algebra format extended with a family block,
-    # and the embedded tensors must match the catalog instantiation
+    # one document per row, each instance by its catalog keys: no tensor is
+    # stored, and a row's name and note are stated once
     import json
     from importlib import resources
 
     data = json.loads(
         resources.files("tpa.data").joinpath("degenerations.json").read_text()
     )
-    assert len(data["rows"]) == 30
+    assert set(data) == {"comment", "rows"}
+    assert [doc["row"] for doc in data["rows"]] == list(range(1, 18))
     for doc in data["rows"]:
-        assert {"dim", "mul", "bracket", "family"} <= set(doc)
-        assert {"row", "name", "g", "source", "target"} <= set(doc["family"])
-        assert len(doc["family"]["g"]) == 3
-    # the loader rejects tensors that disagree with the catalog
-    from tpa.degeneration import _rows_from_data
-
-    doc0 = json.loads(json.dumps(data["rows"][0]))
-    doc0["mul"] = [[1, 1, 1, "1"]]
-    with pytest.raises(ValueError):
-        _rows_from_data({"rows": [doc0]})
+        assert {"row", "name", "instances"} <= set(doc) <= {"row", "name", "note", "instances"}
+        for inst in doc["instances"]:
+            assert {"source", "target", "g"} <= set(inst) <= {"source", "target", "g",
+                                                              "post_witness"}
+            assert set(inst["source"]) == set(inst["target"]) == {"id", "params"}
+            assert len(inst["g"]) == 3
+    assert sum(len(doc["instances"]) for doc in data["rows"]) == 30

@@ -124,13 +124,20 @@ def test_zero_denominators_rejected(text):
             QQ.parse(text)
 
 
-@pytest.mark.parametrize("text", ["t^999999999", "t^-65", "2*t^65 + 1", "1/t^65",
-                                  "(1)/(t^100)", "(t^-999999999)/(1 + t)",
-                                  "t^" + "9" * 5000])
+#: texts whose out-of-range exponent the term syntax reads (four digits at
+#: most), so that the error names the bound, with or without a quotient
+EXPONENT_BOUND_NAMED = ("t^65", "2*t^65", "1 + t^65", "t^-65", "2*t^65 + 1", "1/t^65",
+                        "(1)/(t^100)")
+
+
+@pytest.mark.parametrize("text", EXPONENT_BOUND_NAMED + (
+    "t^999999999", "(t^-999999999)/(1 + t)", "t^" + "9" * 5000))
 def test_t_exponent_bounded(text):
     # an unbounded exponent would make the parser allocate a list of that length
-    with pytest.raises(ScalarParseError):
+    with pytest.raises(ScalarParseError) as err:
         parse_ratfunc(text)
+    if text in EXPONENT_BOUND_NAMED:
+        assert f"exponent of t beyond ±{MAX_T_EXPONENT}" in str(err.value)
 
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
