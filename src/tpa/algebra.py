@@ -17,6 +17,10 @@ applied to multiplication operators (see ``_IDENTITY_CHECKS``), and the
 solvers in ``derivations`` and ``dspecial`` take their nullspaces.
 Jacobi keeps its cyclic i < j < k form: it is a derivation statement
 only for anticommutative brackets.
+
+``transport`` and ``gl_action`` share one contraction, ``_transport_sc``,
+over Q and Q(t) alike: the tensor is moved one slot at a time, the first
+from its nonzero entries, and no product is evaluated cell by cell.
 """
 
 from __future__ import annotations
@@ -213,7 +217,16 @@ def _map_rows(sc, a, b, c):
 def _apply(rows, mat, field):
     """rows applied to the flattening of mat."""
     vec = flatten(mat)
-    return [sum((x * y for x, y in zip(row, vec) if x and y), field.zero) for row in rows]
+    return [_dot(row, vec, field.zero) for row in rows]
+
+
+def _dot(xs, ys, zero):
+    """sum x * y over the pairs where both are nonzero; ``zero`` if none."""
+    out = zero
+    for x, y in zip(xs, ys):
+        if x and y:
+            out = out + x * y if out else x * y
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -221,18 +234,33 @@ def _apply(rows, mat, field):
 # ---------------------------------------------------------------------------
 
 def _transport_sc(sc, g_cols, g_inv):
-    """Structure constants in the basis whose vectors are the columns of g."""
-    n = sc.dim
-    new = []
-    for i in range(n):
-        plane = []
-        ei = [g_cols[r][i] for r in range(n)]
-        for j in range(n):
-            ej = [g_cols[r][j] for r in range(n)]
-            image = linalg.mat_vec(g_inv, sc.evaluate(ei, ej))
-            plane.append(tuple(map(sc.field.coerce, image)))
-        new.append(tuple(plane))
-    return StructureConstants(n, sc.field, tuple(new))
+    """Structure constants in the basis whose vectors are the columns of g,
+        c'[i][j][k] = sum g_inv[k][r] c[p][q][r] g[p][i] g[q][j],
+    contracted one slot at a time: the first slot by g from the nonzero
+    entries, then the second slot by g and the output slot by g^{-1}, at
+    most n^4 products each.  Integral rationals are stored as ``int``."""
+    n, field = sc.dim, sc.field
+    zero = field.zero
+    a = [[[zero] * n for _ in range(n)] for _ in range(n)]  # a[i][q][r]
+    for p, q, r, v in sc.entries:
+        for i, gpi in enumerate(g_cols[p]):
+            if gpi:
+                x = a[i][q][r]
+                a[i][q][r] = x + gpi * v if x else gpi * v
+    g_t = tuple(zip(*g_cols))
+    out = []
+    for plane in a:
+        cols = tuple(zip(*plane))
+        b = [[_dot(gj, col, zero) for col in cols] for gj in g_t]  # b[j][r]
+        out.append(tuple(tuple(field.coerce(_dot(gk, bj, zero)) for gk in g_inv) for bj in b))
+    return StructureConstants(n, field, tuple(out))
+
+
+def _inverse(pair, g):
+    """g^{-1}, refusing a g whose size is not the pair's dimension."""
+    if len(g) != pair.dim:
+        raise DimensionMismatch(f"change of basis of size {len(g)} for dimension {pair.dim}")
+    return linalg.inv(g, pair.field)
 
 
 def transport(pair, g):
@@ -240,9 +268,9 @@ def transport(pair, g):
 
     Columns of g are the new basis vectors in the old coordinates.  In
     action form this is g^{-1} mu(g x, g y).  Raises SingularMatrix when
-    det g = 0.
+    det g = 0, and DimensionMismatch when g is not dim x dim.
     """
-    g_inv = linalg.inv(g, pair.field)
+    g_inv = _inverse(pair, g)
     return AlgebraPair(
         _transport_sc(pair.mul, g, g_inv), _transport_sc(pair.bracket, g, g_inv)
     )
@@ -252,9 +280,10 @@ def gl_action(pair, g):
     """The group action (g * mu)(x, y) = g mu(g^{-1} x, g^{-1} y).
 
     Equals transport along the inverse basis matrix; the degeneration
-    table's parametrized bases act through this map.
+    table's parametrized bases act through this map.  Raises as
+    ``transport`` does.
     """
-    g_inv = linalg.inv(g, pair.field)
+    g_inv = _inverse(pair, g)
     return AlgebraPair(
         _transport_sc(pair.mul, g_inv, g), _transport_sc(pair.bracket, g_inv, g)
     )

@@ -391,7 +391,7 @@ _RAT_RE = re.compile(rf"[+-]?\d+(?:{_DEN})?$")
 _TERM_RE = re.compile(
     r"(?P<sign>[+-]?)"
     rf"(?:(?P<coef>\d+(?:{_DEN})?)\*?)?"
-    r"(?:(?P<t>t)(?:\^(?P<exp>[+-]?\d{1,4}))?)?$"
+    r"(?:(?P<t>t)(?:\^(?P<exp>[+-]?\d+))?)?$"
 )
 
 
@@ -429,9 +429,11 @@ def _parse_terms(s):
             coef = -coef
         exp = 0
         if m.group("t"):
-            exp = int(m.group("exp") or 1)
-            if abs(exp) > MAX_T_EXPONENT:
+            exp = m.group("exp") or "1"
+            # too many digits is refused before int() would meet the digit limit
+            if len(exp.lstrip("+-0")) > len(str(MAX_T_EXPONENT)) or abs(int(exp)) > MAX_T_EXPONENT:
                 raise ScalarParseError(f"exponent of t beyond ±{MAX_T_EXPONENT} in {excerpt(s)}")
+            exp = int(exp)
         out[exp] = out.get(exp, 0) + coef
     return out
 

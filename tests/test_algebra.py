@@ -6,8 +6,9 @@ import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from tpa import linalg
 from tpa.algebra import (
     AlgebraPair,
     StructureConstants,
@@ -27,7 +28,7 @@ from tpa.algebra import (
 from tpa.catalog import CATALOG, instantiate, sample_params, t_series_samples
 from tpa.dspecial import commutator_bracket
 from tpa.linalg import DimensionMismatch, SingularMatrix, det, identity
-from tpa.scalars import QQ, Diverges, limit_at_zero
+from tpa.scalars import QQ, QQ_T, Diverges, limit_at_zero
 
 
 def basis(k, n=3):
@@ -97,6 +98,118 @@ def test_gl_action_inverts_transport():
     pair = instantiate("T12", [F(1)])
     g = [[F(1), F(0), F(2)], [F(1), F(1), F(0)], [F(0), F(0), F(1)]]
     assert pairs_equal(gl_action(transport(pair, g), g), pair)
+
+
+@pytest.mark.parametrize("size", [2, 4])
+@pytest.mark.parametrize("move", [transport, gl_action])
+def test_change_of_basis_of_wrong_size_rejected(move, size):
+    # the contraction reads g by the pair's dimension, so a smaller g would
+    # be indexed past its rows and a larger one read in part
+    with pytest.raises(DimensionMismatch):
+        move(instantiate("T05"), identity(size, QQ))
+
+
+# ---------------------------------------------------------------------------
+# the slot-by-slot contraction against its definition
+# ---------------------------------------------------------------------------
+
+def _moved_by_cells(sc, basis, back):
+    """The reference: cell (i, j) is back . mu(b_i, b_j), b_i the i-th
+    column of ``basis``, computed by ``evaluate`` and ``mat_vec``."""
+    cols = [[row[i] for row in basis] for i in range(sc.dim)]
+    return tuple(tuple(tuple(map(sc.field.coerce, linalg.mat_vec(back, sc.evaluate(x, y))))
+                       for y in cols) for x in cols)
+
+
+def _typed(sc):
+    return [(type(v), v) for v in flatten(sc.c)]
+
+
+def _assert_moved_by_definition(pair, g):
+    """transport is g^-1 mu(g x, g y) and gl_action g mu(g^-1 x, g^-1 y),
+    value for value and type for type."""
+    g_inv = linalg.inv(g, pair.field)
+    for moved, basis, back in ((transport(pair, g), g, g_inv),
+                               (gl_action(pair, g), g_inv, g)):
+        for new, sc in ((moved.mul, pair.mul), (moved.bracket, pair.bracket)):
+            reference = StructureConstants(sc.dim, sc.field, _moved_by_cells(sc, basis, back))
+            assert _typed(new) == _typed(reference)
+
+
+_rationals = st.one_of(st.just(0), st.fractions(min_value=-4, max_value=4, max_denominator=4))
+
+
+@st.composite
+def _tensors_and_bases(draw):
+    """A pair of arbitrary rational tensors (neither side (anti)commutative
+    as a rule) of dimension 1 to 3, and an invertible rational g."""
+    n = draw(st.integers(1, 3))
+
+    def tensor():
+        return StructureConstants.from_entries(n, [
+            (i, j, k, draw(_rationals)) for i in range(1, n + 1) for j in range(1, n + 1)
+            for k in range(1, n + 1)])
+
+    g = [[QQ.coerce(draw(_rationals)) for _ in range(n)] for _ in range(n)]
+    assume(det(g, QQ))
+    return AlgebraPair(tensor(), tensor()), g
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tensors_and_bases())
+def test_transport_contraction_matches_definition_over_q(case):
+    pair, g = case
+    _assert_moved_by_definition(pair, g)
+    for moved in (transport(pair, g), gl_action(pair, g)):
+        values = flatten(moved.mul.c) + flatten(moved.bracket.c)
+        assert all(type(v) is int or v.denominator != 1 for v in values)
+
+
+def _unimodular(rng):
+    """A signed permutation times unit lower and upper triangular factors
+    with entries in [-2, 2], over Q(t)."""
+    def triangular(below):
+        return [[1 if i == j else rng.randint(-2, 2) if (i > j) == below else 0
+                 for j in range(3)] for i in range(3)]
+    perm = rng.sample(range(3), 3)
+    signed = [[rng.choice((-1, 1)) if perm[i] == j else 0 for j in range(3)]
+              for i in range(3)]
+    m = linalg.mat_mul(signed, linalg.mat_mul(triangular(True), triangular(False)))
+    return [[QQ_T.coerce(x) for x in row] for row in m]
+
+
+def test_transport_contraction_matches_definition_over_qt():
+    # the 30 table curves, and two conjugates k.g(t).h of each acting on
+    # the source moved by h, as the degeneration benchmark draws them
+    from tpa.degeneration import load_rows
+
+    rng = random.Random(27)
+    for inst in load_rows():
+        source, g = inst.source_pair(), inst.g_matrix()
+        _assert_moved_by_definition(source, g)
+        for _ in range(2):
+            h, k = _unimodular(rng), _unimodular(rng)
+            _assert_moved_by_definition(transport(source, h),
+                                        linalg.mat_mul(linalg.mat_mul(k, g), h))
+
+
+def test_transport_evaluates_no_cell(monkeypatch):
+    # the per-cell path (evaluate, then mat_vec) must not come back
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(StructureConstants, "evaluate",
+                        counted("evaluate", StructureConstants.evaluate))
+    monkeypatch.setattr(linalg, "mat_vec", counted("mat_vec", linalg.mat_vec))
+    pair = instantiate("T12", [F(1)])
+    g = [[F(1), F(0), F(2)], [F(1), F(1), F(0)], [F(0), F(0), F(1)]]
+    assert pairs_equal(gl_action(transport(pair, g), g), pair)
+    assert calls == []
 
 
 def test_identities_on_t07():

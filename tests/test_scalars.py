@@ -124,14 +124,15 @@ def test_zero_denominators_rejected(text):
             QQ.parse(text)
 
 
-#: texts whose out-of-range exponent the term syntax reads (four digits at
-#: most), so that the error names the bound, with or without a quotient
+#: texts whose out-of-range exponent the term syntax reads (any run of
+#: digits, leading zeros included), so that the error names the bound, with
+#: or without a quotient
 EXPONENT_BOUND_NAMED = ("t^65", "2*t^65", "1 + t^65", "t^-65", "2*t^65 + 1", "1/t^65",
-                        "(1)/(t^100)")
+                        "(1)/(t^100)", "t^12345", "t^999999999", "1/t^12345", "t^-00065",
+                        "(t^-999999999)/(1 + t)", "t^" + "9" * 5000)
 
 
-@pytest.mark.parametrize("text", EXPONENT_BOUND_NAMED + (
-    "t^999999999", "(t^-999999999)/(1 + t)", "t^" + "9" * 5000))
+@pytest.mark.parametrize("text", EXPONENT_BOUND_NAMED)
 def test_t_exponent_bounded(text):
     # an unbounded exponent would make the parser allocate a list of that length
     with pytest.raises(ScalarParseError) as err:
@@ -157,6 +158,8 @@ def test_t_exponent_at_bound():
     n = MAX_T_EXPONENT
     t_n = _power(T, n)
     assert parse_ratfunc(f"t^{n} + t^-{n}") == t_n + RatFunc(1) / t_n
+    # leading zeros do not count toward the bound
+    assert parse_ratfunc(f"t^000{n}") == t_n
 
 
 def test_format_roundtrip():
