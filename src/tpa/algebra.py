@@ -7,16 +7,17 @@ candidate and a bracket candidate over a common scalar field; nothing is
 assumed about either component, the checkers establish identities.
 
 All identity checks run over basis instantiations, which is sound and
-complete by multilinearity.  ``_map_rows`` states the derivation-type
-identity a phi(x*y) + b phi(x)*y + c x*phi(y) once, as coefficient rows in
-the entries of phi, filled from the tensor's nonzero entries.  This module
-alone knows the row-major layout of maps, tensors and rows: the other
-modules go through ``flatten``, ``unflatten`` and ``residual_cells``.
-Associativity, the transposed rule and the Leibniz rule are those rows
-applied to multiplication operators (see ``_IDENTITY_CHECKS``), and the
-solvers in ``derivations`` and ``dspecial`` take their nullspaces.
-Jacobi keeps its cyclic i < j < k form: it is a derivation statement
-only for anticommutative brackets.
+complete by multilinearity.  ``_pattern`` states the derivation-type
+identity a phi(x*y) + b phi(x)*y + c x*phi(y) once.  ``_map_rows``
+scatters the tensor's nonzero entries through it into the coefficient
+rows the solvers in ``derivations`` and ``dspecial`` eliminate;
+``_residual`` gathers them against a map phi, building no row.  This
+module alone knows the row-major layout of maps, tensors and rows: the
+other modules go through ``flatten``, ``unflatten`` and ``residual_cells``.
+Associativity, the transposed rule and the Leibniz rule are that residual
+at multiplication operators (see ``_IDENTITY_CHECKS``).  Jacobi keeps its
+cyclic i < j < k form: it is a derivation statement only for
+anticommutative brackets.
 
 ``transport`` and ``gl_action`` share one contraction, ``_transport_sc``,
 over Q and Q(t) alike: the tensor is moved one slot at a time, the first
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import linalg
 from .linalg import DimensionMismatch
@@ -168,9 +169,9 @@ def unflatten(vec, n, depth=2):
 
 
 def residual_cells(values, n):
-    """The nonzero cells of ``values``, the n^3 rows of ``_map_rows``
-    applied to a map: ((i, j), residual coordinate vector) for the
-    instantiation at (e_i, e_j), 1-based, in row-major order."""
+    """The nonzero cells of ``values``, a ``_residual`` of a map: ((i, j),
+    residual coordinate vector) for the instantiation at (e_i, e_j),
+    1-based, in row-major order."""
     return [((i + 1, j + 1), cell) for i, plane in enumerate(unflatten(values, n, 3))
             for j, cell in enumerate(plane) if any(cell)]
 
@@ -184,41 +185,60 @@ def operator_matrix(sc, z, left=False):
     return [[sc.c[c][z][r] for c in range(n)] for r in range(n)]
 
 
-def _map_rows(sc, a, b, c):
-    """The one statement of the derivation-type identities.
+@lru_cache(maxsize=None)
+def _pattern(n):
+    """The one statement of a phi(e_i e_j) + b phi(e_i) e_j + c e_i phi(e_j),
+    row (i, j, k) per coordinate k, in the unknowns P[r][m] of phi (both in
+    ``flatten`` order): for the tensor cell (p, q, s), one tuple per
+    coefficient of the n (row, unknown) positions its value v reaches:
+    a v at row (p, q, k), unknown P[k][s]; b v at row (i, q, s), unknown
+    P[p][i]; c v at row (p, j, s), unknown P[q][j]."""
+    return tuple(
+        (tuple(((p * n + q) * n + m, m * n + s) for m in range(n)),
+         tuple(((m * n + q) * n + s, p * n + m) for m in range(n)),
+         tuple(((p * n + m) * n + s, q * n + m) for m in range(n)))
+        for p, q, s in itertools.product(range(n), repeat=3))
 
-    Row (i, j, k) of the n^3 rows (``flatten`` order) holds the
-    coefficients of the k-th coordinate of
-        a phi(e_i e_j) + b phi(e_i) e_j + c e_i phi(e_j)
-    in the unknowns P[r][m] of phi, flattened the same way.  The delta-
-    derivation condition is (1, -delta, -delta); the derived bracket
-    D(x).y - x.D(y) is (0, 1, -1).  All n^3 rows are returned, zero rows
-    included.  Each nonzero entry e_p e_q = v e_s of the tensor enters
-    three families of cells: a v at row (p, q, k), unknown P[k][s];
-    b v at row (i, q, s), unknown P[p][i]; c v at row (p, j, s), unknown
-    P[q][j]."""
-    n = sc.dim
-    field = sc.field
-    a, b, c = (field.coerce(x) for x in (a, b, c))
+
+def _map_rows(sc, a, b, c):
+    """The n^3 rows of ``_pattern``, zero rows included, as coefficients
+    in the n^2 unknowns of phi: the systems the solvers eliminate.  The
+    delta-derivation condition is (1, -delta, -delta); the derived bracket
+    D(x).y - x.D(y) is (0, 1, -1)."""
+    n, field = sc.dim, sc.field
+    coeffs, pattern = [field.coerce(x) for x in (a, b, c)], _pattern(n)
     rows = [[field.zero] * (n * n) for _ in range(n ** 3)]
     for p, q, s, v in sc.entries:
-        av, bv, cv = (x * v for x in (a, b, c))
-        for m in range(n):
-            if av:
-                rows[(p * n + q) * n + m][m * n + s] += av
-            if bv:
-                rows[(m * n + q) * n + s][p * n + m] += bv
-            if cv:
-                rows[(p * n + m) * n + s][q * n + m] += cv
+        for f, cells in zip(coeffs, pattern[(p * n + q) * n + s]):
+            if f:
+                fv = f * v
+                for row, unknown in cells:
+                    rows[row][unknown] += fv
     # products, and sums of them, can be integral Fractions (0 included); coerce stores an int
     return [[x if type(x) is int else field.coerce(x) for x in row] for row in rows]
 
 
-def _apply(rows, mat, field):
-    """rows applied to the flattening of mat."""
-    vec = flatten(mat)
-    return [_dot(row, vec, field.zero) for row in rows]
+def _residual(sc, mat, a, b, c):
+    """The rows of ``_map_rows`` times the entries of the matrix ``mat``,
+    gathered from the nonzero entries of both; no row is built."""
+    n, field, zero = sc.dim, sc.field, sc.field.zero
+    coeffs, pattern, phi = [field.coerce(x) for x in (a, b, c)], _pattern(n), flatten(mat)
+    out = [zero] * (n ** 3)
+    for p, q, s, v in sc.entries:
+        for f, cells in zip(coeffs, pattern[(p * n + q) * n + s]):
+            if f:
+                fv = f * v
+                for row, unknown in cells:
+                    x = phi[unknown]
+                    if x:
+                        y = out[row]
+                        out[row] = y + fv * x if y else fv * x
+    return [field.coerce(x) if x else zero for x in out]
 
+
+# ---------------------------------------------------------------------------
+# basis transport / GL action
+# ---------------------------------------------------------------------------
 
 def _dot(xs, ys, zero):
     """sum x * y over the pairs where both are nonzero; ``zero`` if none."""
@@ -228,10 +248,6 @@ def _dot(xs, ys, zero):
             out = out + x * y if out else x * y
     return out
 
-
-# ---------------------------------------------------------------------------
-# basis transport / GL action
-# ---------------------------------------------------------------------------
 
 def _transport_sc(sc, g_cols, g_inv):
     """Structure constants in the basis whose vectors are the columns of g,
@@ -332,25 +348,24 @@ def _jacobi(pair):
     return out
 
 
-def _operator_identity(rows_sc, coeffs, op_sc, left=False):
-    """Violations of the (a, b, c) rows of ``rows_sc`` at the operators
+def _operator_identity(sc, coeffs, op_sc, left=False):
+    """Violations of the (a, b, c) identity of ``sc`` at the operators
     x -> x e_z of ``op_sc`` (e_z x when ``left``), labelled (i, j, z)."""
-    rows = _map_rows(rows_sc, *coeffs)
-    cells = [(ij + (z + 1,), r) for z in range(rows_sc.dim) for ij, r in residual_cells(
-        _apply(rows, operator_matrix(op_sc, z, left), rows_sc.field), rows_sc.dim)]
+    cells = [(ij + (z + 1,), r) for z in range(sc.dim) for ij, r in residual_cells(
+        _residual(sc, operator_matrix(op_sc, z, left), *coeffs), sc.dim)]
     return sorted(cells, key=lambda cell: cell[0])
 
 
 _IDENTITY_CHECKS = {
     "commutative": lambda p: _mirror(p.mul, -1, diagonal=False),
-    # (x.y).z - x.(y.z): right multiplication by z against rows (1, 0, -1)
+    # (x.y).z - x.(y.z): right multiplication by z in the identity (1, 0, -1)
     "associative": lambda p: _operator_identity(p.mul, (1, 0, -1), p.mul),
     "anticommutative": lambda p: _mirror(p.bracket, 1, diagonal=True),
     "jacobi": _jacobi,
-    # 2 z.[x,y] - [z.x, y] - [x, z.y]: left multiplication by z against the
-    # 1/2-derivation rows of the bracket, scaled by 2
+    # 2 z.[x,y] - [z.x, y] - [x, z.y]: left multiplication by z in the
+    # 1/2-derivation identity of the bracket, scaled by 2
     "transposed_leibniz": lambda p: _operator_identity(p.bracket, (2, -1, -1), p.mul, left=True),
-    # [x.y, z] - [x,z].y - x.[y,z]: ad_z = [., z] against the derivation rows
+    # [x.y, z] - [x,z].y - x.[y,z]: ad_z = [., z] in the derivation identity
     # of the product
     "leibniz": lambda p: _operator_identity(p.mul, (1, -1, -1), p.bracket),
 }

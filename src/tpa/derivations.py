@@ -1,12 +1,13 @@
 """Derivation-type linear systems, each stated once.
 
-``algebra._map_rows`` states a phi(x*y) + b phi(x)*y + c x*phi(y) once,
-as coefficient rows in the entries of phi.  ``delta_derivations`` is the
-one solver that reads those rows:
+``algebra._pattern`` states a phi(x*y) + b phi(x)*y + c x*phi(y) once,
+and ``algebra._map_rows`` makes its coefficient rows in the entries of
+phi.  ``delta_derivations`` is the one solver that reads those rows:
 
 * delta-derivations of a single multiplication (their nullspace):
       phi(x*y) = delta (phi(x)*y + x*phi(y))
-* the residual checker ``derivation_residual`` (rows times phi).
+* the residual checker ``derivation_residual`` reads the same pattern at
+  phi (``algebra._residual``), building no row.
 
 ``delta_derivations`` eliminates each system once per integer normal form
 and delta while it is among the last 8 it was asked for (an
@@ -35,7 +36,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 
 from . import linalg
-from .algebra import _apply, _map_rows, flatten, is_lie, residual_cells, unflatten
+from .algebra import _map_rows, _residual, flatten, is_lie, residual_cells, unflatten
 
 
 class NotALieAlgebra(ValueError):
@@ -122,7 +123,7 @@ delta_derivations.cache_clear = _delta_derivations_of_primitive.cache_clear
 def derivation_residual(sc, mat, delta):
     """Exact residual phi(e_i e_j) - delta(phi(e_i) e_j + e_i phi(e_j));
     empty iff mat satisfies the system."""
-    return residual_cells(_apply(_map_rows(sc, 1, -delta, -delta), mat, sc.field), sc.dim)
+    return residual_cells(_residual(sc, mat, 1, -delta, -delta), sc.dim)
 
 
 def pair_derivations(pair):

@@ -6,8 +6,9 @@ strong D-special transposed Poisson algebras.  Because the construction
 is equivariant under basis change, a pair is strong D-special iff some
 derivation of its *own* product reproduces its bracket - an exactly
 solvable linear feasibility problem (the bracket is linear in D).  The
-derived bracket is read off the coefficient rows ``algebra._map_rows``
-builds, and that problem stacks them on the reduced derivation rows of
+derived bracket is read off the product's nonzero entries at D
+(``algebra._residual``), and that problem stacks its coefficient rows
+(``algebra._map_rows``) on the reduced derivation rows of
 ``derivations.delta_derivations``, so no identity is restated here.
 
 The module also covers the Novikov-commutator computations used for the
@@ -22,8 +23,8 @@ from . import linalg
 from .algebra import (
     AlgebraPair,
     StructureConstants,
-    _apply,
     _map_rows,
+    _residual,
     flatten,
     is_commutative_associative,
     unflatten,
@@ -43,8 +44,7 @@ def derived_bracket(comm, d):
     if derivation_residual(comm, d, 1):
         raise NotADerivation("matrix is not a derivation of the product")
     n = comm.dim
-    return StructureConstants(n, comm.field,
-                              unflatten(_apply(_map_rows(comm, 0, 1, -1), d, comm.field), n, 3))
+    return StructureConstants(n, comm.field, unflatten(_residual(comm, d, 0, 1, -1), n, 3))
 
 
 def brackets_all_zero(comm):

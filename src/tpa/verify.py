@@ -586,14 +586,17 @@ def erratum_list(results):
             "note": "the derivation family lists D(e3) twice; the first line "
                     "should constrain D(e1) (solver-computed basis is used)",
         },
-        {
+    ]
+    n02 = check_identity(instantiate("N02"), "transposed_leibniz")
+    if not n02.holds:
+        x, y, z = n02.violations[0][0]
+        errata.append({
             "subject": "2-dimensional exceptional pair N02",
             "note": "as printed it fails the transposed compatibility rule at "
-                    "(e1, e2, e1); every compatible product on its bracket has "
+                    f"(e{x}, e{y}, e{z}); every compatible product on its bracket has "
                     "e2.e2 = 0.  The span obstruction against strong "
                     "speciality verifies on the printed data regardless",
-        },
-    ]
+        })
     neg = next(r for r in results if r["id"] == "negative-list-as-printed")
     if neg["counterexamples"]:
         errata.append({

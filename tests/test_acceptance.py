@@ -20,6 +20,7 @@ from fractions import Fraction
 import pytest
 
 from tpa import verify
+from tpa.algebra import AlgebraPair, StructureConstants, check_identity, is_transposed_poisson
 from tpa.catalog import instantiate, sample_params
 from tpa.derivations import derivation_residual
 from tpa.dspecial import derived_bracket
@@ -149,6 +150,36 @@ def test_suite_audits_and_errata(suite):
     subjects = {e["subject"] for e in suite["errata"]}
     assert "non-strong-D-special list" in subjects
     assert "2-dimensional exceptional pair N02" in subjects
+
+
+def _n02_notes(results):
+    return [e["note"] for e in verify.erratum_list(results)
+            if e["subject"] == "2-dimensional exceptional pair N02"]
+
+
+def test_n02_erratum_reads_the_computed_violation(suite, monkeypatch):
+    # the note names the first violation of the transposed rule on N02 as
+    # printed, and is emitted only while that check fails
+    results = [c for cr in suite["criteria"] for c in cr["claims"]]
+    report = check_identity(instantiate("N02"), "transposed_leibniz")
+    assert report.violations[0] == ((1, 2, 1), (2, 0))
+    (note,) = _n02_notes(results)
+    assert note.startswith("as printed it fails the transposed compatibility rule at "
+                           "(e1, e2, e1); ")
+    # a compatible product on N02's bracket: e1.e1 = e2 alone
+    bracket = instantiate("N02").bracket
+    compatible = AlgebraPair(StructureConstants.from_entries(2, [(1, 1, 2, 1)]), bracket)
+    assert is_transposed_poisson(compatible)
+    # dropping e2.e2 = e2 alone still fails the rule
+    assert not check_identity(AlgebraPair(StructureConstants.from_entries(
+        2, [(1, 2, 1, 1)], symmetrize="sym"), bracket), "transposed_leibniz").holds
+    real = verify.instantiate
+
+    def patched(cid, *args, **kwargs):
+        return compatible if cid == "N02" else real(cid, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "instantiate", patched)
+    assert _n02_notes(results) == []
 
 
 def test_overall_flag_matches_criteria(suite):

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from tpa import linalg
 from tpa.algebra import (
+    IDENTITIES,
     AlgebraPair,
     StructureConstants,
     _map_rows,
@@ -19,6 +20,7 @@ from tpa.algebra import (
     is_poisson,
     is_transposed_poisson,
     limit_pair,
+    operator_matrix,
     pair_from_json,
     pair_to_json,
     pairs_equal,
@@ -26,7 +28,8 @@ from tpa.algebra import (
     unflatten,
 )
 from tpa.catalog import CATALOG, instantiate, sample_params, t_series_samples
-from tpa.dspecial import commutator_bracket
+from tpa.derivations import delta_derivations, derivation_residual
+from tpa.dspecial import commutator_bracket, derived_bracket
 from tpa.linalg import DimensionMismatch, SingularMatrix, det, identity
 from tpa.scalars import QQ, QQ_T, Diverges, limit_at_zero
 
@@ -339,8 +342,14 @@ def _naive_residual(pair, which, i, j, k):
         terms = [(2, mul(z, br(x, y))), (-1, br(mul(z, x), y)), (-1, br(x, mul(z, y)))]
     else:                          # [x.y, z] - x.[y,z] - [x,z].y
         terms = [(1, br(mul(x, y), z)), (-1, mul(x, br(y, z))), (-1, mul(br(x, z), y))]
-    return tuple(sum((pair.field.coerce(c) * v[m] for c, v in terms), pair.field.zero)
-                 for m in range(pair.dim))
+    return _coerced_sum(pair.field, terms)
+
+
+def _coerced_sum(field, terms):
+    """sum c v over the (c, v) terms, coordinate by coordinate, each value
+    stored through ``field.coerce`` (an integral rational as an ``int``)."""
+    return tuple(field.coerce(sum((field.coerce(c) * v[m] for c, v in terms), field.zero))
+                 for m in range(len(terms[0][1])))
 
 
 def _naive_violations(pair, which):
@@ -371,23 +380,88 @@ def random_pairs(draw):
     return AlgebraPair(tensor(), tensor())
 
 
-@settings(max_examples=60, deadline=None)
-@given(random_pairs())
-def test_row_derived_identities_match_naive_loop(pair):
+def _naive_derivation_residual(sc, mat, delta):
+    """phi(e_i e_j) - delta (phi(e_i) e_j + e_i phi(e_j)) at its nonzero
+    cells, written directly with ``evaluate`` and ``mat_vec``."""
+    e = identity(sc.dim, sc.field)
+    out = []
+    for i in range(sc.dim):
+        for j in range(sc.dim):
+            r = _coerced_sum(sc.field, [
+                (1, linalg.mat_vec(mat, sc.evaluate(e[i], e[j]))),
+                (-delta, sc.evaluate(linalg.mat_vec(mat, e[i]), e[j])),
+                (-delta, sc.evaluate(e[i], linalg.mat_vec(mat, e[j])))])
+            if any(r):
+                out.append(((i + 1, j + 1), r))
+    return out
+
+
+def _naive_derived_bracket(sc, d):
+    """The tensor of D(x).y - x.D(y), cell by cell."""
+    e = identity(sc.dim, sc.field)
+    return tuple(tuple(_coerced_sum(sc.field, [
+        (1, sc.evaluate(linalg.mat_vec(d, x), y)), (-1, sc.evaluate(x, linalg.mat_vec(d, y)))])
+        for y in e) for x in e)
+
+
+def _assert_residuals_match(pair, mat, label):
+    """The row-derived checkers, the derivation residual at delta in
+    {1, 1/2, 0} and the derived brackets of a derivation basis of the
+    product against the loops above, value for value and type for type."""
     for which in ROW_DERIVED:
-        assert check_identity(pair, which).violations == _naive_violations(pair, which)
+        assert _same_typed(check_identity(pair, which).violations,
+                           _naive_violations(pair, which)), (label, which)
+    for sc in (pair.mul, pair.bracket):
+        for delta in (1, F(1, 2), 0):
+            assert _same_typed(derivation_residual(sc, mat, delta),
+                               _naive_derivation_residual(sc, mat, delta)), (label, delta)
+    der = delta_derivations(pair.mul, 1)
+    for d in der.basis + (der.combine(range(1, der.dim + 1)),):
+        assert _same_typed(derived_bracket(pair.mul, d).c,
+                           _naive_derived_bracket(pair.mul, d)), label
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_pairs(), st.data())
+def test_row_derived_identities_match_naive_loop(pair, data):
+    value = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2)])
+    mat = [[data.draw(value) for _ in range(pair.dim)] for _ in range(pair.dim)]
+    _assert_residuals_match(pair, mat, "random")
 
 
 def test_row_derived_identities_match_naive_loop_over_qt():
-    # the degeneration sources over Q(t), before and after their basis change
+    # the degeneration sources over Q(t), before and after their basis
+    # change, with the curve's own g(t) as the map
     from tpa.degeneration import load_rows
 
     for inst in load_rows():
-        source = inst.source_pair()
-        for pair in (source, gl_action(source, inst.g_matrix())):
-            for which in ROW_DERIVED:
-                assert check_identity(pair, which).violations == \
-                    _naive_violations(pair, which), (inst.row, inst.name, which)
+        source, g = inst.source_pair(), inst.g_matrix()
+        for pair in (source, gl_action(source, g)):
+            _assert_residuals_match(pair, g, (inst.row, inst.name))
+
+
+def test_checkers_build_no_dense_rows(monkeypatch):
+    # the identity checkers, the derivation residual and the derived
+    # bracket read the tensor's entries; only the solvers build rows
+    from tpa import algebra, derivations, dspecial
+
+    pair = instantiate("N02")
+    d = delta_derivations(pair.mul, 1).basis[0]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _map_rows(*args)
+
+    for module in (algebra, derivations, dspecial):
+        monkeypatch.setattr(module, "_map_rows", counted)
+    for which in IDENTITIES:
+        check_identity(pair, which)
+    assert derivation_residual(pair.bracket, operator_matrix(pair.mul, 0), F(1, 2))
+    assert not derived_bracket(pair.mul, d).is_zero()
+    assert calls == []
+    dspecial.derivation_matching_bracket(pair.mul, pair.bracket)  # a solver builds rows
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +469,7 @@ def test_row_derived_identities_match_naive_loop_over_qt():
 # ---------------------------------------------------------------------------
 
 def _dense_map_rows(sc, a, b, c):
-    """``_map_rows`` as it was before it read ``sc.entries()``: every
+    """``_map_rows`` as it was before it read ``sc.entries``: every
     cell of the tensor tested for zero, n^4 times over.  The reference."""
     n = sc.dim
     field = sc.field
