@@ -21,7 +21,11 @@ anticommutative brackets.
 
 ``transport`` and ``gl_action`` share one contraction, ``_transport_sc``,
 over Q and Q(t) alike: the tensor is moved one slot at a time, the first
-from its nonzero entries, and no product is evaluated cell by cell.
+from its nonzero entries, and no product is evaluated cell by cell.  Over
+Q, g is stored through ``coerce`` and g^{-1} enters as its integer
+numerator q g^{-1} (``_inverse``), so an integer tensor moved by an
+integral g is built in ``int`` arithmetic and each nonzero cell is divided
+once by a power of q; over Q(t), q = 1 and each cell is only coerced.
 """
 
 from __future__ import annotations
@@ -249,12 +253,16 @@ def _dot(xs, ys, zero):
     return out
 
 
-def _transport_sc(sc, g_cols, g_inv):
-    """Structure constants in the basis whose vectors are the columns of g,
-        c'[i][j][k] = sum g_inv[k][r] c[p][q][r] g[p][i] g[q][j],
-    contracted one slot at a time: the first slot by g from the nonzero
-    entries, then the second slot by g and the output slot by g^{-1}, at
-    most n^4 products each.  Integral rationals are stored as ``int``."""
+def _transport_sc(sc, g_cols, out_rows, den):
+    """The tensor c'[i][j][k] = sum h[k][r] c[p][q][r] g[p][i] g[q][j] / den,
+    g = ``g_cols`` and h = ``out_rows``, contracted one slot at a time: the
+    first slot by g from the nonzero entries, then the second slot by g and
+    the output slot by h, at most n^4 products each; each nonzero cell is
+    then divided once by the integer ``den``.  Over Q the callers pass the
+    integer numerator q g^{-1} where g^{-1} stands and a power of q as den,
+    so an integer tensor moved by an integral g is built in ``int``
+    arithmetic; over Q(t) den is 1 and each cell goes through
+    ``field.coerce``.  Integral rationals are stored as ``int``."""
     n, field = sc.dim, sc.field
     zero = field.zero
     a = [[[zero] * n for _ in range(n)] for _ in range(n)]  # a[i][q][r]
@@ -264,44 +272,57 @@ def _transport_sc(sc, g_cols, g_inv):
                 x = a[i][q][r]
                 a[i][q][r] = x + gpi * v if x else gpi * v
     g_t = tuple(zip(*g_cols))
+    div = field.coerce if den == 1 else lambda x: field.div(x, den) if x else zero
     out = []
     for plane in a:
         cols = tuple(zip(*plane))
         b = [[_dot(gj, col, zero) for col in cols] for gj in g_t]  # b[j][r]
-        out.append(tuple(tuple(field.coerce(_dot(gk, bj, zero)) for gk in g_inv) for bj in b))
+        out.append(tuple(tuple(div(_dot(hk, bj, zero)) for hk in out_rows) for bj in b))
     return StructureConstants(n, field, tuple(out))
 
 
 def _inverse(pair, g):
-    """g^{-1}, refusing a g whose size is not the pair's dimension."""
-    if len(g) != pair.dim:
-        raise DimensionMismatch(f"change of basis of size {len(g)} for dimension {pair.dim}")
-    return linalg.inv(g, pair.field)
+    """(g, q g^{-1}, q): g with its entries stored through ``field.coerce``
+    (an integral rational as an ``int``), and g^{-1} from ``linalg.inv``
+    split over Q as (p/q) M, M a primitive integer matrix, and returned as
+    the integer matrix p M with its denominator q; over Q(t), q = 1.
+    Refuses a g whose size is not the pair's dimension."""
+    n, field = pair.dim, pair.field
+    if len(g) != n:
+        raise DimensionMismatch(f"change of basis of size {len(g)} for dimension {n}")
+    g = [[field.coerce(x) for x in row] for row in g]
+    g_inv = linalg.inv(g, field)
+    if field is not QQ:
+        return g, g_inv, 1
+    p, q, m = _integral(flatten(g_inv))
+    return g, unflatten([p * x for x in m], n), q
 
 
 def transport(pair, g):
     """Rewrite both multiplications in the basis E_i = sum_j g[j][i] e_j.
 
     Columns of g are the new basis vectors in the old coordinates.  In
-    action form this is g^{-1} mu(g x, g y).  Raises SingularMatrix when
-    det g = 0, and DimensionMismatch when g is not dim x dim.
+    action form this is g^{-1} mu(g x, g y), computed over Q as
+    (q g^{-1}) mu(g x, g y) / q.  Raises SingularMatrix when det g = 0,
+    and DimensionMismatch when g is not dim x dim.
     """
-    g_inv = _inverse(pair, g)
+    g, num, q = _inverse(pair, g)
     return AlgebraPair(
-        _transport_sc(pair.mul, g, g_inv), _transport_sc(pair.bracket, g, g_inv)
+        _transport_sc(pair.mul, g, num, q), _transport_sc(pair.bracket, g, num, q)
     )
 
 
 def gl_action(pair, g):
     """The group action (g * mu)(x, y) = g mu(g^{-1} x, g^{-1} y).
 
-    Equals transport along the inverse basis matrix; the degeneration
-    table's parametrized bases act through this map.  Raises as
-    ``transport`` does.
+    Equals transport along the inverse basis matrix, computed over Q as
+    g mu(q g^{-1} x, q g^{-1} y) / q^2; the degeneration table's
+    parametrized bases act through this map.  Raises as ``transport``
+    does.
     """
-    g_inv = _inverse(pair, g)
+    g, num, q = _inverse(pair, g)
     return AlgebraPair(
-        _transport_sc(pair.mul, g_inv, g), _transport_sc(pair.bracket, g_inv, g)
+        _transport_sc(pair.mul, num, g, q * q), _transport_sc(pair.bracket, num, g, q * q)
     )
 
 

@@ -309,10 +309,13 @@ def build_parser():
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("iso", help="verify an isomorphism witness")
-    p.add_argument("--lhs", required=True)
-    p.add_argument("--rhs", required=True)
+    p.add_argument("--lhs", required=True, help="algebra JSON file: the pair to rewrite")
+    p.add_argument("--rhs", required=True,
+                   help="algebra JSON file: the pair it must become, of the same dimension")
     p.add_argument("--witness", required=True,
-                   help="JSON file: 3x3 rational matrix, row-major")
+                   help="JSON file: an n x n rational matrix as a list of rows, n the "
+                        "pairs' dimension; its columns are the new basis vectors in the "
+                        "lhs coordinates, as transport reads it")
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("fingerprint", help="isomorphism invariants of a pair")

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from tpa import linalg
+from tpa import algebra, linalg
 from tpa.algebra import (
     IDENTITIES,
     AlgebraPair,
@@ -31,7 +31,7 @@ from tpa.catalog import CATALOG, instantiate, sample_params, t_series_samples
 from tpa.derivations import delta_derivations, derivation_residual
 from tpa.dspecial import commutator_bracket, derived_bracket
 from tpa.linalg import DimensionMismatch, SingularMatrix, det, identity
-from tpa.scalars import QQ, QQ_T, Diverges, limit_at_zero
+from tpa.scalars import QQ, QQ_T, Diverges, _integral, limit_at_zero
 
 
 def basis(k, n=3):
@@ -142,10 +142,34 @@ def _assert_moved_by_definition(pair, g):
 _rationals = st.one_of(st.just(0), st.fractions(min_value=-4, max_value=4, max_denominator=4))
 
 
+#: diagonal scales whose inverses have content p != 1 or denominator q != 1
+#: in ``scalars._integral``'s split (p/q) M of g^-1
+_SCALES = (1, 2, 4, -2, F(1, 2), F(1, 4), F(-1, 2))
+
+
+@st.composite
+def _bases(draw, n):
+    """An invertible g of size n, of one of three kinds: integral entries
+    typed as ``Fraction``, rational entries (one at least not integral),
+    or a diagonal scale times a unit triangular integer matrix."""
+    kind = draw(st.sampled_from(("fraction-integral", "rational", "scaled")))
+    if kind == "fraction-integral":
+        g = [[F(draw(st.integers(-3, 3))) for _ in range(n)] for _ in range(n)]
+    elif kind == "rational":
+        g = [[QQ.coerce(draw(_rationals)) for _ in range(n)] for _ in range(n)]
+        assume(any(type(x) is F for row in g for x in row))
+    else:
+        scale = [draw(st.sampled_from(_SCALES)) for _ in range(n)]
+        g = [[scale[i] * (1 if i == j else draw(st.integers(-2, 2)) if j > i else 0)
+              for j in range(n)] for i in range(n)]
+    assume(det(g, QQ))
+    return g
+
+
 @st.composite
 def _tensors_and_bases(draw):
     """A pair of arbitrary rational tensors (neither side (anti)commutative
-    as a rule) of dimension 1 to 3, and an invertible rational g."""
+    as a rule) of dimension 1 to 3, and an invertible g from ``_bases``."""
     n = draw(st.integers(1, 3))
 
     def tensor():
@@ -153,9 +177,13 @@ def _tensors_and_bases(draw):
             (i, j, k, draw(_rationals)) for i in range(1, n + 1) for j in range(1, n + 1)
             for k in range(1, n + 1)])
 
-    g = [[QQ.coerce(draw(_rationals)) for _ in range(n)] for _ in range(n)]
-    assume(det(g, QQ))
-    return AlgebraPair(tensor(), tensor()), g
+    return AlgebraPair(tensor(), tensor()), draw(_bases(n))
+
+
+def _assert_integral_values_are_int(pair, g):
+    for moved in (transport(pair, g), gl_action(pair, g)):
+        values = flatten(moved.mul.c) + flatten(moved.bracket.c)
+        assert all(type(v) is int or v.denominator != 1 for v in values)
 
 
 @settings(max_examples=60, deadline=None)
@@ -163,9 +191,29 @@ def _tensors_and_bases(draw):
 def test_transport_contraction_matches_definition_over_q(case):
     pair, g = case
     _assert_moved_by_definition(pair, g)
-    for moved in (transport(pair, g), gl_action(pair, g)):
-        values = flatten(moved.mul.c) + flatten(moved.bracket.c)
-        assert all(type(v) is int or v.denominator != 1 for v in values)
+    _assert_integral_values_are_int(pair, g)
+
+
+def _rational_pair():
+    return AlgebraPair(
+        StructureConstants.from_entries(3, [(1, 1, 2, F(1, 2)), (1, 2, 3, F(-3, 4)),
+                                            (3, 3, 1, 6)]),
+        StructureConstants.from_entries(3, [(1, 2, 3, F(2, 3)), (2, 3, 1, 4)],
+                                        symmetrize="antisym"))
+
+
+@pytest.mark.parametrize("diagonal, split", [
+    ((2, 2, 2), (1, 2)), ((F(1, 2), F(1, 4), 1), (1, 1)), ((2, 4, 1), (1, 4)),
+    ((F(1, 2), F(1, 4), F(1, 2)), (2, 1))])
+def test_transport_by_scaled_bases_matches_definition(diagonal, split):
+    # g^-1 = (p/q) M, M primitive: the content p and the denominator q
+    # each leave 1, and a non-integral g can have an integral inverse
+    g = [[F(d) if i == j else F(0) for j, d in enumerate(diagonal)]
+         for i in range(3)]
+    assert _integral(flatten(linalg.inv(g, QQ)))[:2] == split
+    for pair in (instantiate("T12", [F(1)]), instantiate("T05"), _rational_pair()):
+        _assert_moved_by_definition(pair, g)
+        _assert_integral_values_are_int(pair, g)
 
 
 def _unimodular(rng):
@@ -213,6 +261,27 @@ def test_transport_evaluates_no_cell(monkeypatch):
     g = [[F(1), F(0), F(2)], [F(1), F(1), F(0)], [F(0), F(0), F(1)]]
     assert pairs_equal(gl_action(transport(pair, g), g), pair)
     assert calls == []
+
+
+@pytest.mark.parametrize("typed", [int, F])
+def test_integer_transport_runs_in_int_arithmetic(monkeypatch, typed):
+    # g is stored through coerce and the output slot takes the integer
+    # numerator of g^-1, so no Fraction enters the contraction, even where
+    # g^-1 is not integral (det g = 3 here)
+    operands, dot = [], algebra._dot
+
+    def counted(xs, ys, zero):
+        xs, ys = tuple(xs), tuple(ys)
+        operands.extend(xs + ys)
+        return dot(xs, ys, zero)
+
+    monkeypatch.setattr(algebra, "_dot", counted)
+    g = [[typed(x) for x in row] for row in ((1, 0, 2), (1, 1, 0), (0, 0, 3))]
+    for tid in ("T12", "T05", "T24"):
+        pair = instantiate(tid, [1] if tid == "T12" else [])
+        assert all(type(v) is int for sc in (pair.mul, pair.bracket) for *_, v in sc.entries)
+        _assert_moved_by_definition(pair, g)
+    assert operands and all(type(x) is int for x in operands)
 
 
 def test_identities_on_t07():

@@ -204,6 +204,26 @@ def test_iso_roundtrip(tmp_path, capsys):
     assert code == 1 and doc["isomorphic_via_witness"] is False
 
 
+def test_iso_witness_columns_are_the_new_basis(tmp_path, capsys):
+    # a 2 x 2 witness on dim-2 pairs, read as ``--help`` says: its columns
+    # E1 = e1 + e2 and E2 = e2 rewrite e1.e1 = e1 as E1.E1 = E1 - E2, and
+    # its transpose is no witness
+    lhs, rhs, wit = (tmp_path / name for name in ("lhs.json", "rhs.json", "w.json"))
+    lhs.write_text(json.dumps({"dim": 2, "mul": [[1, 1, 1, "1"]]}))
+    rhs.write_text(json.dumps({"dim": 2, "mul": [[1, 1, 1, "1"], [1, 1, 2, "-1"]]}))
+    for rows, expected in (([["1", "0"], ["1", "1"]], 0), ([["1", "1"], ["0", "1"]], 1)):
+        wit.write_text(json.dumps(rows))
+        code, doc = run(capsys, "iso", "--lhs", str(lhs), "--rhs", str(rhs),
+                        "--witness", str(wit))
+        assert code == expected and doc["isomorphic_via_witness"] is (expected == 0)
+    with pytest.raises(SystemExit):
+        main(["iso", "--help"])
+    usage = " ".join(capsys.readouterr().out.split())
+    assert "n x n rational matrix as a list of rows" in usage
+    assert "columns are the new basis vectors in the lhs coordinates" in usage
+    assert "3x3" not in usage
+
+
 #: sha256 of the whole ``catalog dump`` stdout
 CATALOG_DUMP_SHA256 = "d5f924f533b7768a8bb3f7319082c441927d5c3af5d0d45d11efe21debe45ee8"
 

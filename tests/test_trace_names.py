@@ -5,7 +5,8 @@
 label (``PER_LAYER``); a traced run fails when a listed name is missing or
 a label records no call.  Both tables are read here from the source text,
 without importing the benchmark, so that a renamed function fails this
-suite rather than only the traced benchmark run.
+suite rather than only the traced benchmark run, and so does a function
+that stops reaching the ``rref`` and ``inv`` labels the run reads.
 """
 
 import ast
@@ -13,7 +14,10 @@ import importlib
 import pathlib
 import re
 
-from tpa import verify
+from tpa import linalg, verify
+from tpa.algebra import gl_action, transport
+from tpa.catalog import instantiate
+from tpa.degeneration import load_rows
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -47,3 +51,52 @@ def test_every_per_layer_label_names_a_traced_function():
     for label in labels:
         module, _, name = re.sub(r"\[.*\]$", "", label).partition(".")
         assert name in layers.get(module, ()) or module == "verify" and name in criteria, label
+
+
+def _transport_over_q():
+    transport(instantiate("T05"), [[1, 1, 0], [0, 1, 0], [0, 0, 2]])
+
+
+def _gl_action_over_qt():
+    inst = load_rows()[0]
+    gl_action(inst.source_pair(), inst.g_matrix())
+
+
+#: the public call each workload drives into the ``rref`` and ``inv``
+#: labels it reads: only ``inv`` calls ``rref`` since elimination moved to
+#: ``linalg.echelon``, and ``transport`` (criterion 4, ``fresh-queries``)
+#: and ``gl_action`` (the degeneration table) are what call ``inv``
+REACHED_BY = {
+    "linalg.rref": _transport_over_q,
+    "linalg.rref[Q]": _transport_over_q,
+    "linalg.rref[Q(t)]": _gl_action_over_qt,
+    "linalg.inv": _gl_action_over_qt,
+}
+
+
+def test_inverse_labels_are_reached_by_transport(monkeypatch):
+    # A traced run fails when a PER_LAYER label records no call, so a
+    # transport that stops calling ``linalg.inv`` (an adjugate by cofactors,
+    # say) breaks it; the labels can only move with the benchmark.
+    _, per_layer = _assignments(PERFBENCH / "run.py", "PAPER_CRITERIA", "PER_LAYER")
+    labels = {label for table in per_layer.values() for _, _, label in table
+              if label and re.sub(r"\[.*\]$", "", label) in ("linalg.rref", "linalg.inv")}
+    assert labels == set(REACHED_BY)
+    recorded = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            recorded.append(name)
+            if name == "linalg.rref":
+                recorded.append(f"{name}[{args[-1].name}]")
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "rref", counted("linalg.rref", linalg.rref))
+    monkeypatch.setattr(linalg, "inv", counted("linalg.inv", linalg.inv))
+    for label in sorted(labels):
+        recorded.clear()
+        REACHED_BY[label]()
+        assert label in recorded, (
+            f"{label} is no longer reached by {REACHED_BY[label].__name__}: the traced "
+            "benchmark run would fail; redefine its layer keys first (ROADMAP item 5)")
