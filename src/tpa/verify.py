@@ -10,13 +10,20 @@ the table defects the run detects.
 
 Deterministic: randomized parts derive their seed from the sample
 profile name (TPA_SAMPLE_SEED, default "paper").
+
+Criterion 8 reads nothing the others compute, so ``run_suite`` runs it
+in a forked child beside the table pass and criteria 1-7 (inline where
+forking is unsafe); every ``CRITERIA`` callable still runs once, in
+order, in the calling process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import random
+import threading
 import zlib
 from fractions import Fraction
 
@@ -618,31 +625,90 @@ def erratum_list(results):
     return errata
 
 
-#: (criterion id, callable taking the degeneration table reports)
+#: (criterion id, callable taking the degeneration table reports and a
+#: zero-argument function that returns criterion 8's claim)
 CRITERIA = (
-    ("1-axioms", lambda table: [claim_axioms()]),
-    ("2-halfder-table", lambda table: [claim_halfder_dims()]),
-    ("3-enumeration", lambda table: [claim_enumeration()]),
-    ("4-witnesses", lambda table: [claim_witnesses()]),
-    ("5-strong-d-special", lambda table: strong_d_special_claims()),
-    ("6-novikov", lambda table: [claim_novikov()]),
-    ("7-degenerations", lambda table: [claim_degenerations(table)]),
-    ("8-properties", lambda table: [claim_properties()]),
+    ("1-axioms", lambda table, properties: [claim_axioms()]),
+    ("2-halfder-table", lambda table, properties: [claim_halfder_dims()]),
+    ("3-enumeration", lambda table, properties: [claim_enumeration()]),
+    ("4-witnesses", lambda table, properties: [claim_witnesses()]),
+    ("5-strong-d-special", lambda table, properties: strong_d_special_claims()),
+    ("6-novikov", lambda table, properties: [claim_novikov()]),
+    ("7-degenerations", lambda table, properties: [claim_degenerations(table)]),
+    ("8-properties", lambda table, properties: [properties()]),
 )
 
 
+@contextlib.contextmanager
+def _forked(fn):
+    """Yield a function that returns ``fn()``, computed in a child forked
+    here, or raises its exception with the same type and message.  A child
+    not yet joined when the block exits is killed and reaped.  Where
+    forking is unsafe (no ``os.fork``, or other threads running) yield
+    ``fn`` itself, to run inline."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        yield fn
+        return
+    import pickle
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # leaves only by os._exit: no return, atexit or stdio flush
+        status = 1
+        try:
+            os.close(read)
+            try:
+                outcome = (True, fn())
+            except BaseException as exc:
+                outcome = (False, exc)
+            try:
+                pickle.loads(data := pickle.dumps(outcome))
+            except Exception:
+                data = pickle.dumps((False, ChildProcessError(repr(outcome[1]))))
+            with open(write, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    code = None
+
+    def join():
+        nonlocal code
+        with open(read, "rb", closefd=False) as pipe:
+            data = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if not data:
+            raise ChildProcessError(f"child {pid} left no result (exit status {code})")
+        ok, value = pickle.loads(data)
+        if ok:
+            return value
+        raise value
+
+    try:
+        yield join
+    finally:
+        os.close(read)
+        if code is None:
+            import signal
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_suite():
-    table = degeneration.verify_all()
-    criteria = []
-    results = []
-    for cid, run in CRITERIA:
-        claims = run(table)
-        results.extend(claims)
-        criteria.append({
-            "criterion": cid,
-            "pass": all(c["pass"] for c in claims),
-            "claims": claims,
-        })
+    """Every criterion in order, then the errata and the two audits;
+    criterion 8 runs beside the table pass and criteria 1-7 (``_forked``)."""
+    with _forked(claim_properties) as properties:
+        table = degeneration.verify_all()
+        criteria = []
+        results = []
+        for cid, run in CRITERIA:
+            claims = run(table, properties)
+            results.extend(claims)
+            criteria.append({
+                "criterion": cid,
+                "pass": all(c["pass"] for c in claims),
+                "claims": claims,
+            })
     out = {
         "criteria": criteria,
         "pass": all(c["pass"] for c in criteria),

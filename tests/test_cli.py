@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import sys
 
 import pytest
@@ -572,6 +573,16 @@ def test_verify_paper_reports_and_exit_code(capsys, monkeypatch):
         "7-degenerations": True, "8-properties": True,
     }
     assert doc["errata"]
+
+
+def test_verify_paper_inline_without_fork(capsys, monkeypatch):
+    # where os.fork is missing, criterion 8 runs inline with the same stdout
+    monkeypatch.delenv("TPA_SAMPLE_SEED", raising=False)
+    monkeypatch.delattr(os, "fork", raising=False)
+    code = main(["verify-paper"])
+    raw = capsys.readouterr().out.encode()
+    assert hashlib.sha256(raw).hexdigest() == VERIFY_PAPER_SHA256
+    assert code == 1
 
 
 def test_sample_seed_profile(monkeypatch):
