@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Every subcommand prints a single JSON document on stdout and is
-deterministic given its inputs.  Exit codes: 0 success / verification
-passed, 1 verification failed, 2 usage or parse error.  ``main`` alone
-maps exceptions to exit codes: ``CliError`` and the library's input errors
-(an unknown id or row, an inadmissible parameter, a bracket that is not a
-Lie bracket) exit 2 with their message as one stderr line.
+Each subcommand handler returns ``(document, passed)`` and is deterministic
+given its inputs; ``main`` alone meets the process.  It prints the document
+as one JSON line on stdout (indented under ``--pretty``) and exits 0 when
+it passed, 1 when a verification failed, 2 on a usage or parse error:
+``CliError`` and the library's input errors (an unknown id or row, an
+inadmissible parameter, a bracket that is not a Lie bracket) exit 2 with
+their message as one stderr line.
 """
 
 from __future__ import annotations
@@ -38,13 +39,6 @@ from .scalars import QQ, ScalarParseError, excerpt, parse_rational
 
 class CliError(Exception):
     """Usage-level failure; mapped to exit code 2."""
-
-
-def _emit(doc, pretty=False):
-    if pretty:
-        print(json.dumps(doc, indent=2, sort_keys=False))
-    else:
-        print(json.dumps(doc, sort_keys=False))
 
 
 def _instantiate(args, family_id):
@@ -134,23 +128,20 @@ def cmd_check(args):
     }
     if getattr(args, "id", None):
         doc = {"id": args.id, **doc}
-    _emit(doc, args.pretty)
-    return 0
+    return doc, True
 
 
 def cmd_der(args):
     pair = _resolve_input(args)
     delta = _rational("delta", args.delta)
     space = delta_derivations(pair.bracket if not args.mul else pair.mul, delta)
-    _emit({"delta": QQ.format(delta), **_space_doc(space)}, args.pretty)
-    return 0
+    return {"delta": QQ.format(delta), **_space_doc(space)}, True
 
 
 def cmd_biderive(args):
     pair = _resolve_input(args)
     space = half_biderivations(pair.bracket, symmetric=not args.full)
-    _emit(_space_doc(space), args.pretty)
-    return 0
+    return _space_doc(space), True
 
 
 def cmd_enumerate(args):
@@ -165,8 +156,7 @@ def cmd_enumerate(args):
     doc = {"family_dim": family.dim,
            "basis": _space_doc(family.space)["basis"],
            "residual_grid": grid}
-    _emit(doc, args.pretty)
-    return 0
+    return doc, True
 
 
 def _sample_coords(dim):
@@ -184,16 +174,13 @@ def cmd_iso(args):
         raise CliError(f"witness is {len(witness)}x{len(witness)}, pairs have "
                        f"dimensions {lhs.dim} and {rhs.dim}")
     ok = verify_witness(lhs, rhs, witness)
-    _emit({"isomorphic_via_witness": ok, "distinguish": distinguish(lhs, rhs)},
-          args.pretty)
-    return 0 if ok else 1
+    return {"isomorphic_via_witness": ok, "distinguish": distinguish(lhs, rhs)}, ok
 
 
 def cmd_fingerprint(args):
     pair = _resolve_input(args)
     fp = fingerprint(pair)
-    _emit({"fingerprint": list(fp), "fields": list(fp._fields)}, args.pretty)
-    return 0
+    return {"fingerprint": list(fp), "fields": list(fp._fields)}, True
 
 
 def cmd_dspecial(args):
@@ -212,8 +199,7 @@ def cmd_dspecial(args):
         doc["strong_d_special"] = d is not None
         if d is not None:
             doc["derivation"] = matrix_to_json(d, pair.field)
-    _emit(doc, args.pretty)
-    return 0
+    return doc, True
 
 
 def cmd_degenerate(args):
@@ -228,9 +214,8 @@ def cmd_degenerate(args):
             "note": r.note,
         })
     ok = all(r.verified and r.checks and r.checks["ok"] for r in reports)
-    _emit({"rows": rows, "witness_errata": degeneration.witness_errata(reports),
-           "all_verified": ok}, args.pretty)
-    return 0 if ok else 1
+    return {"rows": rows, "witness_errata": degeneration.witness_errata(reports),
+            "all_verified": ok}, ok
 
 
 def cmd_catalog(args):
@@ -247,14 +232,12 @@ def cmd_catalog(args):
                 "alt_name": e.alt_name,
             }
             entries.append(doc)
-    _emit({"entries": entries}, args.pretty)
-    return 0
+    return {"entries": entries}, True
 
 
 def cmd_verify_paper(args):
     out = verify_mod.run_suite()
-    _emit(out, args.pretty)
-    return 0 if out["pass"] else 1
+    return out, out["pass"]
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +315,9 @@ def build_parser():
     p.set_defaults(func=cmd_dspecial)
 
     p = sub.add_parser("degenerate", help="verify degeneration table rows")
-    p.add_argument("--row", type=int, help="verify one table row (1..17)")
-    p.add_argument("--all", action="store_true", help="verify the whole table")
+    rows = p.add_mutually_exclusive_group()
+    rows.add_argument("--row", type=int, help="verify one table row (1..17)")
+    rows.add_argument("--all", action="store_true", help="verify the whole table")
     p.set_defaults(func=cmd_degenerate)
 
     p = sub.add_parser("catalog", help="catalog operations")
@@ -347,14 +331,15 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        doc, passed = args.func(args)
     except (CliError, UnknownId, InadmissibleParameter, NotALieAlgebra,
             degeneration.UnknownRow) as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    print(json.dumps(doc, indent=2 if args.pretty else None))
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

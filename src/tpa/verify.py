@@ -8,8 +8,8 @@ commutator checks, the full degeneration table, and the randomized
 property suites.  Returns one record per claim plus an erratum list for
 the table defects the run detects.
 
-Deterministic: randomized parts derive their seed from the sample
-profile name (TPA_SAMPLE_SEED, default "paper").
+Deterministic: the randomized parts (criteria 3 and 8) draw from the
+fixed ``SEED``.
 
 Criterion 8 reads nothing the others compute, so ``run_suite`` runs it
 in a forked child beside the table pass and criteria 1-7 (inline where
@@ -85,8 +85,8 @@ COMPUTED_NEGATIVE = {
 COMM_IDS = tuple(cid for cid, e in CATALOG.items() if e.kind == "comm")
 
 
-def profile_seed():
-    return zlib.crc32(os.environ.get("TPA_SAMPLE_SEED", "paper").encode())
+#: the seed of criterion 3's draws; criterion 8 draws from ``SEED ^ 0x9E3779B9``
+SEED = zlib.crc32(b"paper")
 
 
 def _claim(cid, ok, **details):
@@ -185,7 +185,7 @@ def _rand_fraction(rng, span=6):
 
 
 def claim_enumeration():
-    rng = random.Random(profile_seed())
+    rng = random.Random(SEED)
     details = {}
     ok = True
 
@@ -472,7 +472,7 @@ def _random_invertible(rng, n):
 
 
 def claim_properties():
-    rng = random.Random(profile_seed() ^ 0x9E3779B9)
+    rng = random.Random(SEED ^ 0x9E3779B9)
     details = {}
 
     gl_ok = True

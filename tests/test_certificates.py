@@ -157,7 +157,6 @@ def test_verify_paper_linear_algebra_is_certified(monkeypatch, capsys):
     monkeypatch.setattr(linalg, "solve", certified_solve)
     monkeypatch.setattr(SolutionSpace, "dim", property(certified_dim))
     monkeypatch.setattr(iso, "fingerprint", certified_fingerprint)
-    monkeypatch.delenv("TPA_SAMPLE_SEED", raising=False)
     # so each fingerprint's ranks and each derivation form are computed here
     catalog_fingerprint.cache_clear()
     delta_derivations.cache_clear()
