@@ -469,8 +469,9 @@ def _json_entries(doc, key, dim):
     return items
 
 
-def pair_from_json(doc, field=None):
-    """Parse an algebra document; malformed documents raise ValueError
+def pair_from_json(doc):
+    """Parse an algebra document, over Q(t) when any scalar names t and
+    over Q otherwise; malformed documents raise ValueError
     (ScalarParseError for a bad scalar) with a one-line message."""
     if not isinstance(doc, dict):
         raise ValueError("an algebra document must be a JSON object")
@@ -478,8 +479,7 @@ def pair_from_json(doc, field=None):
     if type(dim) is not int or not 1 <= dim <= 3:
         raise ValueError(f"dim must be an integer from 1 to 3, got {excerpt_repr(dim)}")
     items = {key: _json_entries(doc, key, dim) for key in ("mul", "bracket")}
-    if field is None:
-        field = QQ_T if any("t" in str(e[3]) for es in items.values() for e in es) else QQ
+    field = QQ_T if any("t" in str(e[3]) for es in items.values() for e in es) else QQ
 
     def sc_of(key):
         entries = [(i, j, k, field.parse(str(v))) for i, j, k, v in items[key]]
@@ -492,8 +492,8 @@ def matrix_to_json(m, field):
     return [[field.format(v) for v in row] for row in m]
 
 
-def matrix_from_json(rows, field=QQ):
+def matrix_from_json(rows):
     if not isinstance(rows, (list, tuple)) or not rows or not all(
             isinstance(r, (list, tuple)) and len(r) == len(rows) for r in rows):
         raise ValueError("a matrix must be a non-empty square list of rows")
-    return [[field.parse(str(v)) for v in row] for row in rows]
+    return [[QQ.parse(str(v)) for v in row] for row in rows]

@@ -96,10 +96,10 @@ def _load_pair(path):
 
 
 def _resolve_input(args):
-    if getattr(args, "input", None):
+    if args.input:
         _reject_params(args, "--input")
         return _load_pair(args.input)
-    lie = getattr(args, "lie", None) or getattr(args, "id", None)
+    lie = args.lie or args.id
     if lie is None:
         raise CliError("give --id/--lie or --input")
     return _instantiate(args, lie)
@@ -126,7 +126,7 @@ def cmd_check(args):
         "transposed_poisson": all(idents[w] for w in TRANSPOSED_POISSON_AXIOMS),
         "poisson": all(idents[w] for w in POISSON_AXIOMS),
     }
-    if getattr(args, "id", None):
+    if args.id:
         doc = {"id": args.id, **doc}
     return doc, True
 
@@ -249,16 +249,19 @@ _PARAM_NAMES = tuple(dict.fromkeys(n for e in CATALOG.values() for n in e.param_
 
 
 def _add_algebra_source(p, rename=None):
-    """The --id/--lie/--input options and one option per family parameter
-    name; ``rename`` maps a parameter to another option where the command
-    uses its name for something else."""
+    """One option per family parameter name, then the --id/--lie/--input
+    options as one mutually exclusive group, which is returned so that a
+    command can add another source to it; ``rename`` maps a parameter to
+    another option where the command uses its name for something else."""
     params = tuple(dict.fromkeys((rename or {}).get(n, n) for n in _PARAM_NAMES))
-    p.add_argument("--id", help="catalog id (e.g. T05, g2, A04)")
-    p.add_argument("--lie", help="catalog id of a Lie algebra (e.g. g2)")
-    p.add_argument("--input", help="path to an algebra JSON file ('-' for stdin)")
     for name in params:
         p.add_argument(f"--{name}", help=f"family parameter {name} (rational)")
     p.set_defaults(_param_names=params, _param_option=rename or {})
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--id", help="catalog id (e.g. T05, g2, A04)")
+    source.add_argument("--lie", help="catalog id of a Lie algebra (e.g. g2)")
+    source.add_argument("--input", help="path to an algebra JSON file ('-' for stdin)")
+    return source
 
 
 def build_parser():
@@ -306,12 +309,11 @@ def build_parser():
     p.set_defaults(func=cmd_fingerprint)
 
     p = sub.add_parser("dspecial", help="derivation-induced brackets")
-    p.add_argument("--comm", help="commutative catalog id (e.g. A04)")
     p.add_argument("--all-derivations", action="store_true",
                    help="print the derivation basis and each derived bracket")
     p.add_argument("--feasible", action="store_true",
                    help="solve for a derivation reproducing the bracket")
-    _add_algebra_source(p)
+    _add_algebra_source(p).add_argument("--comm", help="commutative catalog id (e.g. A04)")
     p.set_defaults(func=cmd_dspecial)
 
     p = sub.add_parser("degenerate", help="verify degeneration table rows")

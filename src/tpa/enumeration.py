@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebra import AlgebraPair, StructureConstants, check_identity
-from .derivations import NotALieAlgebra, SolutionSpace, half_biderivations
+from .derivations import SolutionSpace, half_biderivations
 
 
 @dataclass(frozen=True)

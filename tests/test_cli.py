@@ -253,11 +253,18 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     code = main(["der", "--lie", "g2", "--alpha", "1/2", "--delta", "nope"])
     assert code == 2
-    # --row and --all are exclusive: argparse's usage line, not a silent --row
-    with pytest.raises(SystemExit) as exc:
-        main(["degenerate", "--row", "1", "--all"])
-    assert exc.value.code == 2
-    assert "not allowed with argument" in capsys.readouterr().err
+    # --row and --all are exclusive, and so are the algebra sources: argparse's
+    # usage line, not a silent choice of one
+    for argv in (["degenerate", "--row", "1", "--all"],
+                 ["check", "--id", "T05", "--lie", "sl2"],
+                 ["check", "--input", "f.json", "--id", "T05"],
+                 ["dspecial", "--comm", "A04", "--id", "T02", "--feasible"]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "not allowed with argument" in err, argv
 
 
 def test_inadmissible_parameter_exit_2(capsys):

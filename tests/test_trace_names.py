@@ -11,8 +11,11 @@ that stops reaching the ``rref`` and ``inv`` labels the run reads.
 
 import ast
 import importlib
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 from tpa import linalg, verify
 from tpa.algebra import gl_action, transport
@@ -40,6 +43,16 @@ def test_every_traced_layer_resolves():
         mod = importlib.import_module(f"tpa.{module}")
         for name in names:
             assert callable(getattr(mod, name, None)), f"tpa.{module}.{name}"
+
+
+def test_cli_import_loads_every_traced_layer():
+    # Tracer.installed() imports tpa.cli and then reads sys.modules["tpa.<layer>"]
+    # for each layer, so a fresh import of the CLI must load them all
+    (layers,) = _assignments(PERFBENCH / "spans.py", "LAYERS")
+    out = subprocess.run([sys.executable, "-c", "import sys, tpa.cli; print(*sys.modules)"],
+                         env=dict(os.environ, PYTHONPATH=str(PERFBENCH.parent / "src")),
+                         check=True, capture_output=True, text=True).stdout
+    assert {f"tpa.{layer}" for layer in layers} <= set(out.split())
 
 
 def test_every_per_layer_label_names_a_traced_function():
