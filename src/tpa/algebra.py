@@ -31,7 +31,7 @@ once by a power of q; over Q(t), q = 1 and each cell is only coerced.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 from . import linalg
@@ -39,11 +39,9 @@ from .linalg import DimensionMismatch
 from .scalars import QQ, QQ_T, _integral, excerpt_repr, limit_at_zero
 
 
-@dataclass(frozen=True)
-class StructureConstants:
-    dim: int
-    field: object
-    c: tuple  # c[i][j][k]
+class StructureConstants(namedtuple("StructureConstants", "dim field c")):
+    """A tensor c[i][j][k] over ``field``: an immutable record, equal and
+    hashed by its fields; the cached properties live in its ``__dict__``."""
 
     @staticmethod
     def zero(dim, field=QQ):
@@ -126,14 +124,14 @@ class StructureConstants:
         return StructureConstants(self.dim, QQ, unflatten(ints, self.dim, 3))
 
 
-@dataclass(frozen=True)
-class AlgebraPair:
-    mul: StructureConstants
-    bracket: StructureConstants
+class AlgebraPair(namedtuple("AlgebraPair", "mul bracket")):
+    """A product and a bracket of one dimension, a record like
+    ``StructureConstants``."""
 
-    def __post_init__(self):
-        if self.mul.dim != self.bracket.dim:
+    def __new__(cls, mul, bracket):
+        if mul.dim != bracket.dim:
             raise DimensionMismatch("pair components have different dimensions")
+        return tuple.__new__(cls, (mul, bracket))
 
     @cached_property
     def primitive(self):
@@ -334,11 +332,8 @@ def pairs_equal(a, b):
 # identity checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdentityReport:
-    identity: str
-    holds: bool
-    violations: tuple  # ((indices), residual coordinate vector)
+#: ``violations`` holds ((indices), residual coordinate vector) items
+IdentityReport = namedtuple("IdentityReport", "identity holds violations")
 
 
 def _mirror(sc, sign, diagonal):

@@ -20,7 +20,7 @@ Entry kinds:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import AlgebraPair, StructureConstants
@@ -37,16 +37,12 @@ class InadmissibleParameter(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    id: str
-    kind: str
-    dim: int
-    table: object  # params -> (product rows, second rows)
-    param_names: tuple = ()
-    samples: tuple = ((),)  # deterministic pool, special values first
-    alt_name: str = None
-    last_nonzero: bool = False  # admissible iff the last parameter is nonzero
+#: ``table`` maps the parameters to (product rows, second rows); ``samples``
+#: is the deterministic pool, special values first; ``last_nonzero`` marks a
+#: family admissible only where its last parameter is nonzero
+CatalogEntry = namedtuple(
+    "CatalogEntry", "id kind dim table param_names samples alt_name last_nonzero",
+    defaults=((), ((),), None, False))
 
 
 # -- Lie brackets ------------------------------------------------------------
@@ -249,18 +245,11 @@ def t_series_samples():
 # isomorphism witnesses
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IsoWitness:
-    """A change of basis certifying source ~ target.
-
-    Columns of ``matrix`` are the new basis vectors; the verification
-    contract is transport(instantiate(*source), matrix) == instantiate(*target).
-    """
-
-    name: str
-    source: tuple  # (id, params)
-    target: tuple  # (id, params)
-    matrix: tuple  # rows
+#: A change of basis certifying source ~ target, both (id, params) keys.
+#: ``matrix`` is a tuple of rows whose columns are the new basis vectors;
+#: the verification contract is
+#: transport(instantiate(*source), matrix) == instantiate(*target).
+IsoWitness = namedtuple("IsoWitness", "name source target matrix")
 
 
 _INVERTIBLE = (F(2), F(3), F(-1), F(1, 2), F(5))  # a != 0, 1

@@ -101,7 +101,7 @@ def _resolve_input(args):
         return _load_pair(args.input)
     lie = args.lie or args.id
     if lie is None:
-        raise CliError("give --id/--lie or --input")
+        raise CliError(f"give {'/'.join(args._sources)} or --input")
     return _instantiate(args, lie)
 
 
@@ -248,20 +248,22 @@ def cmd_verify_paper(args):
 _PARAM_NAMES = tuple(dict.fromkeys(n for e in CATALOG.values() for n in e.param_names))
 
 
-def _add_algebra_source(p, rename=None):
+def _add_algebra_source(p, rename=None, extra=()):
     """One option per family parameter name, then the --id/--lie/--input
-    options as one mutually exclusive group, which is returned so that a
-    command can add another source to it; ``rename`` maps a parameter to
-    another option where the command uses its name for something else."""
+    options and the (option, help) pairs of ``extra`` as one mutually
+    exclusive group; ``rename`` maps a parameter to another option where the
+    command uses its name for something else."""
     params = tuple(dict.fromkeys((rename or {}).get(n, n) for n in _PARAM_NAMES))
     for name in params:
         p.add_argument(f"--{name}", help=f"family parameter {name} (rational)")
-    p.set_defaults(_param_names=params, _param_option=rename or {})
     source = p.add_mutually_exclusive_group()
     source.add_argument("--id", help="catalog id (e.g. T05, g2, A04)")
     source.add_argument("--lie", help="catalog id of a Lie algebra (e.g. g2)")
     source.add_argument("--input", help="path to an algebra JSON file ('-' for stdin)")
-    return source
+    for option, text in extra:
+        source.add_argument(option, help=text)
+    p.set_defaults(_param_names=params, _param_option=rename or {},
+                   _sources=("--id", "--lie", *(option for option, _ in extra)))
 
 
 def build_parser():
@@ -313,7 +315,7 @@ def build_parser():
                    help="print the derivation basis and each derived bracket")
     p.add_argument("--feasible", action="store_true",
                    help="solve for a derivation reproducing the bracket")
-    _add_algebra_source(p).add_argument("--comm", help="commutative catalog id (e.g. A04)")
+    _add_algebra_source(p, extra=[("--comm", "commutative catalog id (e.g. A04)")])
     p.set_defaults(func=cmd_dspecial)
 
     p = sub.add_parser("degenerate", help="verify degeneration table rows")

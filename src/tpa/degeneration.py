@@ -16,9 +16,10 @@ fingerprints of source and target through it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import os
+from collections import namedtuple
 from fractions import Fraction
-from importlib import resources
+from types import SimpleNamespace
 
 from . import linalg
 from .algebra import gl_action, limit_pair, matrix_from_json, pair_to_json, pairs_equal
@@ -36,16 +37,15 @@ class UnknownRow(ValueError):
     """The table has no row with the requested number."""
 
 
-@dataclass(frozen=True)
-class DegenerationInstance:
-    row: int
-    name: str
-    source: tuple          # catalog key (id, params in Q(t))
-    target: tuple          # catalog key (id, params in Q)
-    g_columns: tuple       # 3 columns of Q(t) values
-    post_witness: tuple = None
-    note: str = None
-    index: int = 0         # position within its row
+class DegenerationInstance(namedtuple(
+        "DegenerationInstance", "row name source target g_columns post_witness note index",
+        defaults=(None, None, 0))):
+    """One instance of a table row: the catalog keys of its source (params in
+    Q(t)) and target (params in Q), the 3 columns of g over Q(t), an optional
+    post-limit witness, the row's note and the instance's position within
+    its row."""
+
+    __slots__ = ()
 
     def source_pair(self):
         return instantiate(*self.source, field=QQ_T)
@@ -68,19 +68,17 @@ class DegenerationInstance:
         return [params for params in samples if None not in params]
 
 
-@dataclass
-class DegenerationReport:
-    row: int
-    name: str
-    instance: int
-    source: tuple                   # the instance's catalog key, params in Q(t)
-    target: tuple                   # the instance's catalog key, params in Q
-    matched: str                    # "exact" | "via_post_witness" | "failed" | "diverges"
-    family_source: bool
-    limit: dict = None
-    der_dims: dict = None
-    checks: dict = None
-    note: str = None
+class DegenerationReport(SimpleNamespace):
+    """The outcome of one instance, filled in as ``verify_instance`` runs and
+    equal to a report with the same fields: ``source`` and ``target`` are the
+    instance's catalog keys, ``matched`` is "exact", "via_post_witness",
+    "failed" or "diverges"."""
+
+    def __init__(self, row, name, instance, source, target, matched, family_source,
+                 limit=None, der_dims=None, checks=None, note=None):
+        super().__init__(row=row, name=name, instance=instance, source=source, target=target,
+                         matched=matched, family_source=family_source, limit=limit,
+                         der_dims=der_dims, checks=checks, note=note)
 
     @property
     def verified(self):
@@ -94,7 +92,9 @@ def load_rows():
     its instances; each instance names its source and target by catalog
     key, gives the basis columns g over Q(t) and optionally a post-limit
     witness.  No tensor is stored: the pairs are the catalog's."""
-    data = json.loads(resources.files("tpa.data").joinpath("degenerations.json").read_text())
+    # what pkgutil.get_data does, without its import of typing
+    path = os.path.join(os.path.dirname(__file__), "data", "degenerations.json")
+    data = json.loads(__spec__.loader.get_data(path))
     return _rows_from_data(data)
 
 

@@ -30,7 +30,7 @@ in phi(e_c) (columns are images of basis vectors, matching transport).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
@@ -43,8 +43,7 @@ class NotALieAlgebra(ValueError):
     """Raised when a bracket fails anticommutativity or Jacobi."""
 
 
-@dataclass(frozen=True, eq=False)
-class SolutionSpace:
+class SolutionSpace(namedtuple("SolutionSpace", "ambient_dim depth rows nunknowns cells field")):
     """The nullspace of one of the linear systems above: ``rows`` in
     ``nunknowns`` unknowns, ``cells[p]`` the unknown at position p of the
     ``algebra.flatten`` order, eliminated once, on first use.  ``dim`` needs
@@ -55,15 +54,11 @@ class SolutionSpace:
     itself: the undivided echelon rows, spanning the same row space as
     ``rows``, and their pivot columns (see ``linalg.echelon``).  The reduced
     form is unique, so a system built from it has the same nullspace and
-    basis as one built from ``rows``.
+    basis as one built from ``rows``.  Two spaces are equal only when they
+    are the same object.
     """
 
-    ambient_dim: int
-    depth: int
-    rows: list
-    nunknowns: int
-    cells: object
-    field: object
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @cached_property
     def form(self):

@@ -10,17 +10,17 @@ the one statement of that identity), and exact membership testing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import linalg
 from .algebra import AlgebraPair, StructureConstants, check_identity
-from .derivations import SolutionSpace, half_biderivations
+from .derivations import half_biderivations
 
 
-@dataclass(frozen=True)
-class ProductFamily:
-    lie: StructureConstants
-    space: SolutionSpace
+class ProductFamily(namedtuple("ProductFamily", "lie space")):
+    """The symmetric half-biderivations ``space`` of the bracket ``lie``."""
+
+    __slots__ = ()
 
     @property
     def dim(self):

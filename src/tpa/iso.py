@@ -9,8 +9,8 @@ is one-sided - it can prove two pairs non-isomorphic, never isomorphic.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import linalg
 from .algebra import operator_matrix, pairs_equal, transport
@@ -18,20 +18,21 @@ from .derivations import delta_derivations, pair_derivations
 from .linalg import DimensionMismatch, SingularMatrix
 
 
-class Fingerprint(NamedTuple):
+class Fingerprint(namedtuple("Fingerprint", (
+        "dim_sq",          # dim V.V
+        "dim_br",          # dim [V,V]
+        "dim_span",        # dim span(V.V + [V,V])
+        "dim_cube",        # dim V.(V.V)
+        "dim_ann",         # dim ann(.)
+        "dim_center",      # dim center([,])
+        "dim_der_mul",     # dim Der(.)
+        "dim_der_br",      # dim Der([,])
+        "dim_der_pair",    # dim Der(pair)
+        "dim_halfder_br",  # dim of the 1/2-derivations of [,]
+        "has_unit"))):
     """The integer isomorphism invariants of a pair, in a fixed order."""
 
-    dim_sq: int          # dim V.V
-    dim_br: int          # dim [V,V]
-    dim_span: int        # dim span(V.V + [V,V])
-    dim_cube: int        # dim V.(V.V)
-    dim_ann: int         # dim ann(.)
-    dim_center: int      # dim center([,])
-    dim_der_mul: int     # dim Der(.)
-    dim_der_br: int      # dim Der([,])
-    dim_der_pair: int    # dim Der(pair)
-    dim_halfder_br: int  # dim of the 1/2-derivations of [,]
-    has_unit: int
+    __slots__ = ()
 
 
 def verify_witness(a, b, m):

@@ -86,10 +86,21 @@ def echelon(rows, field):
 
 def _distinct_primitive(rows):
     """The nonzero rows of a Q matrix as primitive integer rows with a
-    positive first nonzero entry, each once."""
-    primitive = (_integral(row)[2] for row in rows if any(row))
-    return list(dict.fromkeys(tuple(p) if next(filter(None, p)) > 0 else tuple(-x for x in p)
-                              for p in primitive))
+    positive first nonzero entry, each once.  Exact repeats go first, at C
+    speed; an ``int`` row is divided by its signed gcd directly."""
+    out = []
+    for row in dict.fromkeys(map(tuple, rows)):
+        try:
+            g = gcd(*row)
+        except TypeError:  # a Fraction entry
+            if not any(row):
+                continue
+            row, g = tuple(_integral(row)[2]), 1
+        if g:  # 0 for a zero row
+            if next(filter(None, row)) < 0:
+                g = -g
+            out.append(row if g == 1 else tuple(x // g for x in row))
+    return list(dict.fromkeys(out))
 
 
 def _primitive(row):

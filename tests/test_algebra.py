@@ -388,6 +388,34 @@ def test_pickle_and_deepcopy_roundtrip(field):
         assert back.field is pair.field
 
 
+def _frozen_records():
+    """(record, a field name) for each immutable record of the package."""
+    from tpa.catalog import CATALOG, known_isomorphisms
+    from tpa.degeneration import load_rows
+    from tpa.enumeration import tp_family
+    from tpa.iso import fingerprint
+
+    pair = instantiate("T05")
+    return [(pair.mul, "c"), (pair, "mul"), (check_identity(pair, "jacobi"), "holds"),
+            (CATALOG["T05"], "table"), (known_isomorphisms()[0], "matrix"),
+            (load_rows()[0], "g_columns"), (delta_derivations(pair.mul, 1), "rows"),
+            (tp_family(instantiate("g1").bracket), "space"), (fingerprint(pair), "dim_sq")]
+
+
+@pytest.mark.parametrize("record, name", _frozen_records(),
+                         ids=lambda x: x if isinstance(x, str) else type(x).__name__)
+def test_frozen_records_refuse_assignment(record, name):
+    before = getattr(record, name)
+    with pytest.raises(AttributeError):
+        setattr(record, name, None)
+    assert getattr(record, name) is before
+
+
+def test_pair_of_mismatched_dimensions_rejected():
+    with pytest.raises(DimensionMismatch):
+        AlgebraPair(instantiate("T05").mul, instantiate("N01").bracket)
+
+
 def test_limit_pair():
     from tpa.scalars import QQ_T
 

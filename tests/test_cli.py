@@ -470,6 +470,20 @@ def test_parameter_beyond_digit_limit_exit_2(capsys, argv, flag):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv, sources", [
+    (["check"], "--id/--lie"),
+    (["der", "--mul"], "--id/--lie"),
+    (["dspecial", "--feasible"], "--id/--lie/--comm"),
+], ids=["check", "der", "dspecial"])
+def test_missing_source_names_the_commands_options(capsys, argv, sources):
+    # a command given no algebra names its own source options, dspecial's
+    # --comm included
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"give {sources} or --input\n"
+
+
 def test_biderive_full_flag(capsys):
     code, doc = run(capsys, "biderive", "--lie", "g2", "--alpha", "2", "--full")
     assert code == 0

@@ -6,6 +6,7 @@ from tpa.algebra import AlgebraPair, StructureConstants
 from tpa.catalog import instantiate
 from tpa.degeneration import (
     DegenerationInstance,
+    DegenerationReport,
     SingularFamily,
     load_rows,
     necessary_checks,
@@ -223,7 +224,7 @@ def test_t_samples_are_exact_at_an_int_point():
         assert all(type(v) is int or type(v) is F and v.denominator != 1 for v in at_two)
         assert inst.t_samples()[1] == at_two, inst.name
     row = load_rows()[0]
-    fields = {f: getattr(row, f) for f in row.__dataclass_fields__}
+    fields = {f: getattr(row, f) for f in row._fields}
     fields["source"] = ("T17", (1 / (T - 2), T / 2))
     samples = DegenerationInstance(**fields).t_samples()
     assert samples == [(F(-2, 3), F(1, 4)), (1, F(3, 2))]
@@ -238,7 +239,7 @@ def test_row_without_samples_rejected():
             return []
 
     row1 = load_rows()[0]
-    inst = Unsampled(**{f: getattr(row1, f) for f in row1.__dataclass_fields__})
+    inst = Unsampled(**{f: getattr(row1, f) for f in row1._fields})
     with pytest.raises(ValueError):
         verify_instance(inst)
 
@@ -283,13 +284,20 @@ def test_rigidity_audit_within_open_list():
 
 def test_rigidity_audit_matches_targets_by_value():
     # a verified row reaching the T09 member written as 6/2 is a table hit
-    from tpa.degeneration import DegenerationReport
-
     rep = DegenerationReport(row=96, name="value probe", instance=0, source=("T05", ()),
                              target=("T09", (F(6, 2), 1)), matched="exact",
                              family_source=False)
     hits = rigidity_audit([rep])["table_reaches_component_member"]
     assert {"source": "T05", "member": "T09"} in hits
+
+
+def test_report_optional_fields_default_to_none():
+    rep = DegenerationReport(row=1, name="n", instance=0, source=("T05", ()),
+                             target=("T02", ()), matched="failed", family_source=False)
+    assert (rep.limit, rep.der_dims, rep.checks, rep.note) == (None, None, None, None)
+    assert not rep.verified
+    rep.matched = "exact"  # the report is filled in as the instance runs
+    assert rep.verified
 
 
 def test_loaded_rows_have_notes_where_corrected():

@@ -11,6 +11,7 @@ from tpa.algebra import StructureConstants, _map_rows, flatten, transport, unfla
 from tpa.catalog import instantiate, t_series_samples
 from tpa.derivations import (
     NotALieAlgebra,
+    SolutionSpace,
     delta_derivations,
     derivation_residual,
     half_biderivations,
@@ -472,6 +473,26 @@ def test_memo_is_keyed_on_the_normal_form():
     assert scaled != sc
     assert delta_derivations(scaled, 1) is delta_derivations(sc, 1)
     assert delta_derivations.cache_info().misses == 1
+
+
+def test_memo_hits_on_an_equal_tensor():
+    # the memo is keyed by value: an equal tensor that is another object hits
+    delta_derivations.cache_clear()
+    sc = instantiate("T05").mul
+    space = delta_derivations(sc, 1)
+    copy_ = StructureConstants(sc.dim, sc.field, sc.c)
+    assert copy_ is not sc
+    hits = delta_derivations.cache_info().hits
+    assert delta_derivations(copy_, 1) is space
+    assert delta_derivations.cache_info().hits == hits + 1
+
+
+def test_solution_spaces_equal_only_to_themselves():
+    # equal fields make two spaces, each with its own elimination
+    space = delta_derivations(instantiate("T05").mul, 1)
+    twin = SolutionSpace(*(getattr(space, f) for f in space._fields))
+    assert twin != space and not twin == space and space == space
+    assert len({space, twin}) == 2
 
 
 def test_memo_hits_over_q_t():

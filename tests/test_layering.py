@@ -56,3 +56,14 @@ def test_a_module_loads_only_what_it_imports(module):
 
 def test_the_package_loads_no_module():
     assert loaded_after("import tpa") == {"tpa"}
+
+
+def test_cli_import_loads_no_heavy_standard_module():
+    # record classes are namedtuples and the degeneration table is read
+    # through the module's loader, so the start-up of every command pays for
+    # none of these (-S: no site hook imports them first)
+    out = subprocess.run([sys.executable, "-S", "-c", "import sys, tpa.cli; print(*sys.modules)"],
+                         env=dict(os.environ, PYTHONPATH=str(SRC)), check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert "tpa.cli" in out
+    assert not {"dataclasses", "inspect", "typing"} & set(out)

@@ -8,7 +8,7 @@ from tpa import linalg
 from tpa.catalog import t_series_samples
 from tpa.derivations import pair_derivations
 from tpa.linalg import SingularMatrix
-from tpa.scalars import QQ, QQ_T, RatFunc, T
+from tpa.scalars import QQ, QQ_T, RatFunc, T, _integral
 
 
 def textbook_rref(rows, field):
@@ -285,6 +285,41 @@ def test_rank_nullspace_and_solve_match_textbook_loop(m, consistent, data):
     assert typed(linalg.solve(m, rhs, QQ)) == typed(textbook_solve(m, rhs, QQ))
     if consistent:
         assert linalg.solve(m, rhs, QQ) is not None
+
+
+def reference_distinct_primitive(rows):
+    """The normal form of ``linalg._distinct_primitive`` taken row by row:
+    every nonzero row through ``_integral`` and the sign of its first
+    nonzero entry, then the first of each repeat.  The oracle below."""
+    primitive = (_integral(row)[2] for row in rows if any(row))
+    return list(dict.fromkeys(tuple(p) if next(filter(None, p)) > 0 else tuple(-x for x in p)
+                              for p in primitive))
+
+
+@st.composite
+def repeating_rows(draw):
+    """All-int rows or rows with Fractions, with exact, negated and scaled
+    copies and zero rows shuffled in."""
+    ncols = draw(st.integers(1, 6))
+    entry = draw(st.sampled_from([st.integers(-12, 12), entries]))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=5))
+    for kind in draw(st.lists(st.sampled_from(["exact", "negated", "int", "scaled", "zero"]),
+                              max_size=10)):
+        row = draw(st.sampled_from(rows))
+        factor = {"exact": 1, "negated": -1, "int": draw(st.integers(2, 5)),
+                  "scaled": draw(scales), "zero": 0}[kind]
+        rows.append(list(row) if kind == "exact" else [x * factor for x in row])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeating_rows())
+def test_distinct_primitive_matches_reference(rows):
+    # the same rows, of the same scalar types, in the same order
+    got = linalg._distinct_primitive(rows)
+    assert [typed(list(r)) for r in got] == [typed(list(r)) for r in
+                                             reference_distinct_primitive(rows)]
 
 
 def test_t_series_derivations_identical_under_generic_loop():
