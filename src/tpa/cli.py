@@ -6,13 +6,14 @@ as one JSON line on stdout (indented under ``--pretty``) and exits 0 when
 it passed, 1 when a verification failed, 2 on a usage or parse error:
 ``CliError`` and the library's input errors (an unknown id or row, an
 inadmissible parameter, a bracket that is not a Lie bracket) exit 2 with
-their message as one stderr line.
+their message as one stderr line; a closed stdout keeps the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import degeneration, verify as verify_mod
@@ -205,14 +206,8 @@ def cmd_dspecial(args):
 def cmd_degenerate(args):
     reports = (degeneration.verify_row(args.row) if args.row is not None
                else degeneration.verify_all())
-    rows = []
-    for r in reports:
-        rows.append({
-            "row": r.row, "instance": r.instance, "name": r.name,
-            "matched": r.matched, "family_source": r.family_source,
-            "limit": r.limit, "der_dims": r.der_dims, "checks": r.checks,
-            "note": r.note,
-        })
+    rows = [{k: v for k, v in r._asdict().items() if k not in ("source", "target")}
+            for r in reports]
     ok = all(r.verified and r.checks and r.checks["ok"] for r in reports)
     return {"rows": rows, "witness_errata": degeneration.witness_errata(reports),
             "all_verified": ok}, ok
@@ -342,7 +337,10 @@ def main(argv=None):
             degeneration.UnknownRow) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    print(json.dumps(doc, indent=2 if args.pretty else None))
+    try:
+        print(json.dumps(doc, indent=2 if args.pretty else None), flush=True)
+    except BrokenPipeError:  # the reader has gone: keep the code, silence the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if passed else 1
 
 

@@ -19,7 +19,6 @@ import json
 import os
 from collections import namedtuple
 from fractions import Fraction
-from types import SimpleNamespace
 
 from . import linalg
 from .algebra import gl_action, limit_pair, matrix_from_json, pair_to_json, pairs_equal
@@ -68,17 +67,16 @@ class DegenerationInstance(namedtuple(
         return [params for params in samples if None not in params]
 
 
-class DegenerationReport(SimpleNamespace):
-    """The outcome of one instance, filled in as ``verify_instance`` runs and
-    equal to a report with the same fields: ``source`` and ``target`` are the
-    instance's catalog keys, ``matched`` is "exact", "via_post_witness",
-    "failed" or "diverges"."""
+class DegenerationReport(namedtuple(
+        "DegenerationReport",
+        "row instance name matched family_source limit der_dims checks note source target",
+        defaults=(None,) * 6)):
+    """The outcome of one instance: ``matched`` is "exact",
+    "via_post_witness", "failed" or "diverges"; ``source`` and ``target``
+    are the instance's catalog keys, and the fields before them, in order,
+    are a ``degenerate`` row."""
 
-    def __init__(self, row, name, instance, source, target, matched, family_source,
-                 limit=None, der_dims=None, checks=None, note=None):
-        super().__init__(row=row, name=name, instance=instance, source=source, target=target,
-                         matched=matched, family_source=family_source, limit=limit,
-                         der_dims=der_dims, checks=checks, note=note)
+    __slots__ = ()
 
     @property
     def verified(self):
@@ -128,33 +126,33 @@ def verify_instance(inst):
         moved = gl_action(inst.source_pair(), inst.g_matrix())
     except linalg.SingularMatrix:
         raise SingularFamily(f"row {inst.row}: parametrized basis is singular") from None
-    report = DegenerationReport(
-        row=inst.row, name=inst.name, instance=inst.index, source=inst.source,
-        target=inst.target, matched="failed", family_source=inst.is_family(),
-        note=inst.note,
-    )
+    family = inst.is_family()
+
+    def report(matched, limit=None, der_dims=None, checks=None):
+        return DegenerationReport(inst.row, inst.index, inst.name, matched, family, limit,
+                                  der_dims, checks, inst.note, inst.source, inst.target)
+
     try:
         lim = limit_pair(moved)
     except Diverges:
-        report.matched = "diverges"
-        return report
+        return report("diverges")
     target = inst.target_pair()
-    report.limit = pair_to_json(lim)
     if pairs_equal(lim, target):
-        report.matched = "exact"
+        matched = "exact"
     elif inst.post_witness is not None and verify_witness(lim, target, inst.post_witness):
-        report.matched = "via_post_witness"
-    if report.verified:
-        samples = inst.t_samples()
-        if not samples:
-            raise ValueError(f"row {inst.row}: no rational sample of the source parameters")
-        tgt = catalog_fingerprint(target)
-        srcs = [catalog_fingerprint(instantiate(inst.source[0], p)) for p in samples]
-        report.der_dims = {"source_at_samples": [s.dim_der_pair for s in srcs],
-                           "target": tgt.dim_der_pair}
-        per_sample = [necessary_checks(s, tgt, report.family_source) for s in srcs]
-        report.checks = {k: all(c[k] for c in per_sample) for k in per_sample[0]}
-    return report
+        matched = "via_post_witness"
+    else:
+        return report("failed", pair_to_json(lim))
+    samples = inst.t_samples()
+    if not samples:
+        raise ValueError(f"row {inst.row}: no rational sample of the source parameters")
+    tgt = catalog_fingerprint(target)
+    srcs = [catalog_fingerprint(instantiate(inst.source[0], p)) for p in samples]
+    per_sample = [necessary_checks(s, tgt, family) for s in srcs]
+    return report(matched, pair_to_json(lim),
+                  {"source_at_samples": [s.dim_der_pair for s in srcs],
+                   "target": tgt.dim_der_pair},
+                  {k: all(c[k] for c in per_sample) for k in per_sample[0]})
 
 
 def verify_row(row_number):

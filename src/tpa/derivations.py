@@ -123,7 +123,6 @@ def derivation_residual(sc, mat, delta):
 
 def pair_derivations(pair):
     """Joint 1-derivations of both components of a pair."""
-    pair = pair.primitive
     n = pair.dim
     rows = [r for sc in (pair.mul, pair.bracket) for r in delta_derivations(sc, 1).form[0]]
     return SolutionSpace(n, 2, rows, n * n, range(n * n), pair.field)
@@ -139,7 +138,6 @@ def half_biderivations(bracket, symmetric=True):
     a Lie bracket (raises NotALieAlgebra otherwise): symmetric associative
     members of this space are exactly the transposed Poisson products on it.
     """
-    bracket = bracket.primitive
     if not is_lie(bracket):
         raise NotALieAlgebra("half-biderivations require an anticommutative Jacobi bracket")
     n = bracket.dim

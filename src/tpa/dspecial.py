@@ -154,37 +154,26 @@ def n02_obstruction_report():
     """
     n02 = instantiate("N02")
     zero, one = QQ_T.zero, QQ_T.one
-    report = {
-        "commutator_in_span_e1": True,
-        "commutator_value_matches": True,
-        "n02_bracket_spans_e2": False,
-        "diagonal_maps_are_automorphisms": True,
-        "automorphisms_fix_e2_and_span_e1": True,
-        "no_witness_along_family": True,
-    }
     diag = [[T, zero], [zero, one]]
     mul_only = AlgebraPair(instantiate("N02", field=QQ_T).mul, StructureConstants.zero(2, QQ_T))
-    report["diagonal_maps_are_automorphisms"] = verify_witness(mul_only, mul_only, diag)
     radical_is_e1 = linalg.nullspace(trace_form(n02.mul), 2, n02.field) == [[1, 0]]
-    report["automorphisms_fix_e2_and_span_e1"] = (
-        radical_is_e1 and linalg.mat_vec(diag, [zero, one]) == [zero, one])
-    same_product = True
-    for params in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        a, b, _g = params
-        comm_pair = novikov_commutator_pair("NP02", params)
-        cb = comm_pair.bracket
-        if any(cb.c[i][j][1] for i in range(2) for j in range(2)):
-            report["commutator_in_span_e1"] = False
-        if cb.c[0][1][0] != a - b:
-            report["commutator_value_matches"] = False
-        same_product = same_product and comm_pair.mul == n02.mul
-    br = n02.bracket
-    image = [list(br.prod(i, j)) for i in range(2) for j in range(2)]
-    report["n02_bracket_spans_e2"] = (
-        linalg.span_dim(image, n02.field) == 1 and not any(v[0] for v in image)
-    )
-    report["no_witness_along_family"] = (
-        same_product and radical_is_e1 and report["commutator_in_span_e1"]
-        and report["n02_bracket_spans_e2"])
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    comm_pairs = [novikov_commutator_pair("NP02", params) for params in units]
+    in_span_e1 = not any(p.bracket.c[i][j][1]
+                         for p in comm_pairs for i in range(2) for j in range(2))
+    image = [list(n02.bracket.prod(i, j)) for i in range(2) for j in range(2)]
+    spans_e2 = linalg.span_dim(image, n02.field) == 1 and not any(v[0] for v in image)
+    report = {
+        "commutator_in_span_e1": in_span_e1,
+        "commutator_value_matches": all(
+            p.bracket.c[0][1][0] == a - b for p, (a, b, _g) in zip(comm_pairs, units)),
+        "n02_bracket_spans_e2": spans_e2,
+        "diagonal_maps_are_automorphisms": verify_witness(mul_only, mul_only, diag),
+        "automorphisms_fix_e2_and_span_e1": (
+            radical_is_e1 and linalg.mat_vec(diag, [zero, one]) == [zero, one]),
+        "no_witness_along_family": (
+            all(p.mul == n02.mul for p in comm_pairs) and radical_is_e1 and in_span_e1
+            and spans_e2),
+    }
     report["all_pass"] = all(v is True for v in report.values())
     return report

@@ -391,14 +391,16 @@ def test_pickle_and_deepcopy_roundtrip(field):
 def _frozen_records():
     """(record, a field name) for each immutable record of the package."""
     from tpa.catalog import CATALOG, known_isomorphisms
-    from tpa.degeneration import load_rows
+    from tpa.degeneration import load_rows, verify_instance
     from tpa.enumeration import tp_family
     from tpa.iso import fingerprint
 
     pair = instantiate("T05")
+    row = load_rows()[0]
     return [(pair.mul, "c"), (pair, "mul"), (check_identity(pair, "jacobi"), "holds"),
             (CATALOG["T05"], "table"), (known_isomorphisms()[0], "matrix"),
-            (load_rows()[0], "g_columns"), (delta_derivations(pair.mul, 1), "rows"),
+            (row, "g_columns"), (verify_instance(row), "checks"),
+            (delta_derivations(pair.mul, 1), "rows"),
             (tp_family(instantiate("g1").bracket), "space"), (fingerprint(pair), "dim_sq")]
 
 

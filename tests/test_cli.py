@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import pathlib
+import shlex
+import subprocess
 import sys
 
 import pytest
@@ -110,6 +112,19 @@ def test_degenerate_single_row(capsys):
     code, doc = run(capsys, "degenerate", "--row", "1")
     assert code == 0
     assert doc["rows"][0]["matched"] == "exact"
+
+
+def test_degenerate_row_is_the_report_less_its_catalog_keys(capsys):
+    from tpa.degeneration import DegenerationReport, verify_row
+
+    code, doc = run(capsys, "degenerate", "--row", "5")
+    assert code == 0
+    assert DegenerationReport._fields[-2:] == ("source", "target")
+    reports = verify_row(5)
+    assert len(doc["rows"]) == len(reports)
+    for row, rep in zip(doc["rows"], reports):
+        assert list(row) == list(DegenerationReport._fields[:-2])
+        assert row == json.loads(json.dumps({f: getattr(rep, f) for f in row}))
 
 
 def test_dspecial_comm(capsys):
@@ -575,6 +590,69 @@ def test_deterministic_output(capsys):
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def _readme_cli_examples():
+    """The argument lists of the ``tpa`` lines of the README's CLI sh block."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("tpa ")]
+
+
+def test_readme_cli_block_is_read():
+    # the block has an example of every subcommand, so it parsed whole
+    assert {argv[0] for argv in _readme_cli_examples()} == {
+        "check", "der", "biderive", "enumerate", "iso", "fingerprint", "dspecial",
+        "degenerate", "catalog", "verify-paper"}
+
+
+# iso's files are not shipped; verify-paper and degenerate --all are pinned above
+@pytest.mark.parametrize(
+    "argv", [argv for argv in _readme_cli_examples()
+             if argv[0] not in ("iso", "verify-paper") and argv != ["degenerate", "--all"]],
+    ids=" ".join)
+def test_readme_cli_example(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert err == ""
+    assert out.endswith("\n") and out.count("\n") == 1
+    json.loads(out)
+
+
+def _closed_stdout_run(argv):
+    """Exit code and stderr of ``python -m tpa.cli argv`` whose reader closes
+    stdout before the command prints."""
+    import tpa
+
+    path = [str(pathlib.Path(tpa.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.Popen([sys.executable, "-m", "tpa.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    return proc.wait(timeout=120), err
+
+
+def test_closed_stdout_keeps_the_verdict(tmp_path):
+    # a reader that has gone is no crash: each command keeps its exit code
+    # (1 for a failed verification) and writes no traceback
+    from fractions import Fraction as F
+
+    from tpa.algebra import pair_to_json
+    from tpa.catalog import instantiate
+
+    iso = ["iso"]
+    for name, doc in (("lhs", pair_to_json(instantiate("T09", [F(1, 2), F(1, 2)]))),
+                      ("rhs", pair_to_json(instantiate("T09", [F(2), F(1)]))),
+                      ("witness", [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        iso += [f"--{name}", str(tmp_path / f"{name}.json")]
+    for argv, code in ((["check", "--id", "T05"], 0), (["--pretty", "catalog", "dump"], 0),
+                       (iso, 1)):
+        assert _closed_stdout_run(argv) == (code, b""), argv
 
 
 #: sha256 of the whole ``verify-paper`` stdout

@@ -296,8 +296,8 @@ def test_report_optional_fields_default_to_none():
                              target=("T02", ()), matched="failed", family_source=False)
     assert (rep.limit, rep.der_dims, rep.checks, rep.note) == (None, None, None, None)
     assert not rep.verified
-    rep.matched = "exact"  # the report is filled in as the instance runs
-    assert rep.verified
+    assert rep._replace(matched="exact").verified
+    assert rep._replace(matched="via_post_witness").verified
 
 
 def test_loaded_rows_have_notes_where_corrected():
