@@ -454,7 +454,7 @@ def pair_to_json(pair):
 
 def _json_entries(doc, key, dim):
     """The [i, j, k, value] items listed under ``key``, shape-checked."""
-    items = doc.get(key) or []
+    items = doc.get(key, [])
     if not isinstance(items, list) or not all(
             isinstance(e, (list, tuple)) and len(e) == 4 for e in items):
         raise ValueError(f"{key!r} must be a list of [i, j, k, value] entries")

@@ -100,10 +100,9 @@ def _resolve_input(args):
     if args.input:
         _reject_params(args, "--input")
         return _load_pair(args.input)
-    lie = args.lie or args.id
-    if lie is None:
-        raise CliError(f"give {'/'.join(args._sources)} or --input")
-    return _instantiate(args, lie)
+    if args.id is None:
+        raise CliError("give --id or --input")
+    return _instantiate(args, args.id)
 
 
 def _space_doc(space):
@@ -185,10 +184,12 @@ def cmd_fingerprint(args):
 
 
 def cmd_dspecial(args):
-    pair = _instantiate(args, args.comm) if args.comm else _resolve_input(args)
+    if not (args.all_derivations or args.feasible):
+        raise CliError("give --all-derivations or --feasible")
+    pair = _resolve_input(args)
     comm = pair.mul
     doc = {}
-    if args.all_derivations or args.comm:
+    if args.all_derivations:
         space = delta_derivations(comm, 1)
         doc["derivations"] = _space_doc(space)
         doc["derived_brackets"] = [
@@ -243,22 +244,17 @@ def cmd_verify_paper(args):
 _PARAM_NAMES = tuple(dict.fromkeys(n for e in CATALOG.values() for n in e.param_names))
 
 
-def _add_algebra_source(p, rename=None, extra=()):
-    """One option per family parameter name, then the --id/--lie/--input
-    options and the (option, help) pairs of ``extra`` as one mutually
-    exclusive group; ``rename`` maps a parameter to another option where the
-    command uses its name for something else."""
+def _add_algebra_source(p, rename=None):
+    """One option per family parameter name, then --id and --input as one
+    mutually exclusive group; ``rename`` maps a parameter to another option
+    where the command uses its name for something else."""
     params = tuple(dict.fromkeys((rename or {}).get(n, n) for n in _PARAM_NAMES))
     for name in params:
         p.add_argument(f"--{name}", help=f"family parameter {name} (rational)")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--id", help="catalog id (e.g. T05, g2, A04)")
-    source.add_argument("--lie", help="catalog id of a Lie algebra (e.g. g2)")
     source.add_argument("--input", help="path to an algebra JSON file ('-' for stdin)")
-    for option, text in extra:
-        source.add_argument(option, help=text)
-    p.set_defaults(_param_names=params, _param_option=rename or {},
-                   _sources=("--id", "--lie", *(option for option, _ in extra)))
+    p.set_defaults(_param_names=params, _param_option=rename or {})
 
 
 def build_parser():
@@ -310,13 +306,11 @@ def build_parser():
                    help="print the derivation basis and each derived bracket")
     p.add_argument("--feasible", action="store_true",
                    help="solve for a derivation reproducing the bracket")
-    _add_algebra_source(p, extra=[("--comm", "commutative catalog id (e.g. A04)")])
+    _add_algebra_source(p)
     p.set_defaults(func=cmd_dspecial)
 
     p = sub.add_parser("degenerate", help="verify degeneration table rows")
-    rows = p.add_mutually_exclusive_group()
-    rows.add_argument("--row", type=int, help="verify one table row (1..17)")
-    rows.add_argument("--all", action="store_true", help="verify the whole table")
+    p.add_argument("--row", type=int, help="verify one table row (1..17), else the whole table")
     p.set_defaults(func=cmd_degenerate)
 
     p = sub.add_parser("catalog", help="catalog operations")

@@ -20,7 +20,7 @@ The fingerprint fields read off ``linalg.echelon`` (the spans, the
 annihilator, the centre, the unit) and its joint derivation dimension are
 derived again from the raw matrices of the pair and certified the same way.
 
-The ``Q(t)`` inverses of one ``degenerate --all`` run are checked the same
+The ``Q(t)`` inverses of one whole-table ``degenerate`` run are checked the same
 way: g times the inverse is the identity.
 """
 
@@ -184,7 +184,7 @@ def test_degenerate_all_inverses_are_certified(monkeypatch, capsys):
         return b
 
     monkeypatch.setattr(linalg, "inv", certified_inv)
-    code = main(["degenerate", "--all"])
+    code = main(["degenerate"])
     raw = capsys.readouterr().out.encode()
     assert code == 0
     assert hashlib.sha256(raw).hexdigest() == DEGENERATE_ALL_SHA256

@@ -57,26 +57,26 @@ def test_t07_beta_binds_beta(capsys):
 
 
 def test_der_g2_half(capsys):
-    code, doc = run(capsys, "der", "--lie", "g2", "--alpha", "1/2", "--delta", "1/2")
+    code, doc = run(capsys, "der", "--id", "g2", "--alpha", "1/2", "--delta", "1/2")
     assert code == 0
     assert doc["dim"] == 4
     assert len(doc["basis"]) == 4
 
 
 def test_der_defaults_to_half(capsys):
-    code, doc = run(capsys, "der", "--lie", "sl2")
+    code, doc = run(capsys, "der", "--id", "sl2")
     assert code == 0
     assert doc["dim"] == 1 and doc["delta"] == "1/2"
 
 
 def test_biderive(capsys):
-    code, doc = run(capsys, "biderive", "--lie", "g2", "--alpha", "2")
+    code, doc = run(capsys, "biderive", "--id", "g2", "--alpha", "2")
     assert code == 0
     assert doc["dim"] == 5
 
 
 def test_enumerate(capsys):
-    code, doc = run(capsys, "enumerate", "--lie", "g1")
+    code, doc = run(capsys, "enumerate", "--id", "g1")
     assert code == 0
     assert doc["family_dim"] == 3
     assert all(pt["residual_zero"] for pt in doc["residual_grid"])
@@ -93,12 +93,12 @@ def test_fingerprint(capsys):
     }
 
 
-#: sha256 of the whole ``degenerate --all`` stdout
+#: sha256 of the whole-table ``degenerate`` stdout (no ``--row``)
 DEGENERATE_ALL_SHA256 = "b1b878e86c5446bbcc8f2f2341b40eb0eeee0df1c0c60a712d589c8e1661fb59"
 
 
 def test_degenerate_all(capsys):
-    code = main(["degenerate", "--all"])
+    code = main(["degenerate"])
     raw = capsys.readouterr().out.encode()
     assert hashlib.sha256(raw).hexdigest() == DEGENERATE_ALL_SHA256
     doc = json.loads(raw)
@@ -128,14 +128,14 @@ def test_degenerate_row_is_the_report_less_its_catalog_keys(capsys):
 
 
 def test_dspecial_comm(capsys):
-    code, doc = run(capsys, "dspecial", "--comm", "A04", "--all-derivations")
+    code, doc = run(capsys, "dspecial", "--id", "A04", "--all-derivations")
     assert code == 0
     assert doc["derivations"]["dim"] == 2
     assert len(doc["derived_brackets"]) == 2
 
 
 def test_dspecial_comm_family_parameters(capsys):
-    # --comm takes the family parameters like --id does
+    # dspecial binds the family parameters like every --id command
     from fractions import Fraction as F
 
     from tpa.algebra import matrix_to_json
@@ -143,8 +143,8 @@ def test_dspecial_comm_family_parameters(capsys):
     from tpa.dspecial import derivation_matching_bracket
     from tpa.scalars import QQ
 
-    code, doc = run(capsys, "dspecial", "--comm", "DA02", "--alpha", "1", "--beta", "2",
-                    "--feasible")
+    code, doc = run(capsys, "dspecial", "--id", "DA02", "--alpha", "1", "--beta", "2",
+                    "--all-derivations", "--feasible")
     assert code == 0
     assert doc["derivations"]["dim"] == 2
     pair = instantiate("DA02", (F(1), F(2)))
@@ -162,7 +162,7 @@ def test_der_four_parameter_family(capsys):
     from tpa.derivations import delta_derivations
     from tpa.scalars import QQ
 
-    code, doc = run(capsys, "der", "--lie", "DA03", "--alpha", "1", "--beta", "1",
+    code, doc = run(capsys, "der", "--id", "DA03", "--alpha", "1", "--beta", "1",
                     "--gamma", "1", "--epsilon", "1")
     assert code == 0
     space = delta_derivations(instantiate("DA03", (1, 1, 1, 1)).bracket, F(1, 2))
@@ -266,20 +266,66 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     code = main(["check"])
     assert code == 2
-    code = main(["der", "--lie", "g2", "--alpha", "1/2", "--delta", "nope"])
+    code = main(["der", "--id", "g2", "--alpha", "1/2", "--delta", "nope"])
     assert code == 2
-    # --row and --all are exclusive, and so are the algebra sources: argparse's
-    # usage line, not a silent choice of one
-    for argv in (["degenerate", "--row", "1", "--all"],
-                 ["check", "--id", "T05", "--lie", "sl2"],
-                 ["check", "--input", "f.json", "--id", "T05"],
-                 ["dspecial", "--comm", "A04", "--id", "T02", "--feasible"]):
-        capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "not allowed with argument" in err, argv
+    # --id and --input are exclusive: argparse's usage line, not a silent
+    # choice of one
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--input", "f.json", "--id", "T05"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not allowed with argument" in err
+
+
+def test_option_strings_per_command():
+    # each request has one spelling: the algebra is --id or --input, the
+    # whole degeneration table is degenerate without --row
+    import argparse
+
+    from tpa.cli import build_parser
+
+    params = ["--alpha", "--beta", "--gamma", "--delta", "--epsilon"]
+    source = [*params, "--id", "--input"]
+    der_source = [p for p in params if p != "--delta"] + ["--id", "--input"]
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert {name: [o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")]
+            for name, p in commands.items()} == {
+        "check": source,
+        "der": [*der_source, "--delta", "--mul"],
+        "biderive": [*source, "--full"],
+        "enumerate": source,
+        "iso": ["--lhs", "--rhs", "--witness"],
+        "fingerprint": source,
+        "dspecial": ["--all-derivations", "--feasible", *source],
+        "degenerate": ["--row"],
+        "catalog": [],
+        "verify-paper": [],
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--lie", "g2"], ["dspecial", "--comm", "A04"], ["degenerate", "--all"],
+], ids=["lie", "comm", "degenerate-all"])
+def test_removed_spellings_exit_2(capsys, argv):
+    # no second spelling of --id, of --all-derivations or of the bare
+    # degenerate is accepted
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments" in err
+
+
+def test_dspecial_without_a_request_exit_2(capsys):
+    # no --all-derivations and no --feasible would print {}: a usage error
+    # named before the algebra is read
+    assert main(["dspecial", "--id", "T02"]) == 2
+    assert main(["dspecial"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "give --all-derivations or --feasible\n" * 2
 
 
 def test_inadmissible_parameter_exit_2(capsys):
@@ -303,6 +349,11 @@ NOT_LIE = '{"dim": 2, "bracket": [[1, 1, 1, "1"]]}'
     (["check"], {"input": "[1, 2]"}),
     (["check"], {"input": '{"dim": 3, "mul": [[1, 1, 1]]}'}),
     (["check"], {"input": '{"dim": 3, "mul": "x"}'}),
+    (["check"], {"input": '{"dim": 2, "mul": {}}'}),
+    (["check"], {"input": '{"dim": 2, "mul": 0}'}),
+    (["check"], {"input": '{"dim": 2, "mul": false}'}),
+    (["check"], {"input": '{"dim": 2, "bracket": ""}'}),
+    (["check"], {"input": '{"dim": 2, "mul": null}'}),
     (["check"], {"input": '{"dim": -2}'}),
     (["iso"], {"lhs": '{"dim": 3, "mul": [[1, 1, 1, "1"]]}',
                "rhs": '{"dim": 3, "mul": [[1, 1, 1, "1"]]}',
@@ -311,9 +362,9 @@ NOT_LIE = '{"dim": 2, "bracket": [[1, 1, 1, "1"]]}'
     (["degenerate", "--row", "42"], {}),
     (["biderive"], {"input": NOT_LIE}),
     (["enumerate"], {"input": NOT_LIE}),
-    (["der", "--lie", "g2", "--alpha", "1", "--delta", "1e2000000"], {}),
+    (["der", "--id", "g2", "--alpha", "1", "--delta", "1e2000000"], {}),
     (["check", "--id", "g2", "--alpha", "1e400"], {}),
-    (["dspecial", "--comm", "A04", "--alpha", "7"], {}),
+    (["dspecial", "--id", "A04", "--all-derivations", "--alpha", "7"], {}),
     (["check", "--id", "T07", "--gamma", "2"], {}),
     (["check", "--id", "D08", "--alpha", "1"], {}),
     (["check", "--id", "T09", "--alpha", "2"], {}),
@@ -328,6 +379,7 @@ NOT_LIE = '{"dim": 2, "bracket": [[1, 1, 1, "1"]]}'
     (["check"], {"input": "[" * DEEP + "]" * DEEP}),
     (["iso"], {"lhs": '{"dim": 2}', "rhs": '{"dim": 2}', "witness": "[" * DEEP + "]" * DEEP}),
 ], ids=["zero-denominator", "top-level-list", "three-field-entry", "mul-not-a-list",
+        "mul-empty-object", "mul-zero", "mul-false", "bracket-empty-string", "mul-null",
         "negative-dim", "witness-shape", "t-exponent-too-large", "unknown-row",
         "biderive-not-lie", "enumerate-not-lie", "delta-exponent", "alpha-exponent",
         "comm-extra-parameter", "t07-gamma-not-a-parameter", "d08-alpha-not-a-parameter",
@@ -446,7 +498,7 @@ LONG_MALFORMED = "x" * 5000
 
 @pytest.mark.parametrize("argv, files", [
     (["check", "--id", "T03", "--beta", LONG_MALFORMED], {}),
-    (["der", "--lie", "g2", "--alpha", "1", "--delta", LONG_MALFORMED], {}),
+    (["der", "--id", "g2", "--alpha", "1", "--delta", LONG_MALFORMED], {}),
     (["check", "--input", "a.json"],
      {"a.json": json.dumps({"dim": 3, "mul": [[1, 1, 1, LONG_MALFORMED]]})}),
     (["check", "--input", "a.json"],
@@ -473,7 +525,7 @@ def _digit_limit():
 @pytest.mark.parametrize("argv, flag", [
     (["check", "--id", "T03", "--beta"], "beta"),
     (["check", "--id", "g2", "--alpha"], "alpha"),
-    (["der", "--lie", "g2", "--alpha", "1", "--delta"], "delta"),
+    (["der", "--id", "g2", "--alpha", "1", "--delta"], "delta"),
 ], ids=["beta", "alpha", "delta"])
 def test_parameter_beyond_digit_limit_exit_2(capsys, argv, flag):
     # Fraction's ValueError past the digit limit is a parse error, not a
@@ -485,22 +537,18 @@ def test_parameter_beyond_digit_limit_exit_2(capsys, argv, flag):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("argv, sources", [
-    (["check"], "--id/--lie"),
-    (["der", "--mul"], "--id/--lie"),
-    (["dspecial", "--feasible"], "--id/--lie/--comm"),
-], ids=["check", "der", "dspecial"])
-def test_missing_source_names_the_commands_options(capsys, argv, sources):
-    # a command given no algebra names its own source options, dspecial's
-    # --comm included
+@pytest.mark.parametrize("argv", [["check"], ["der", "--mul"], ["dspecial", "--feasible"]],
+                         ids=["check", "der", "dspecial"])
+def test_missing_source_names_the_commands_options(capsys, argv):
+    # a command given no algebra names the two options that give one
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"give {sources} or --input\n"
+    assert captured.err == "give --id or --input\n"
 
 
 def test_biderive_full_flag(capsys):
-    code, doc = run(capsys, "biderive", "--lie", "g2", "--alpha", "2", "--full")
+    code, doc = run(capsys, "biderive", "--id", "g2", "--alpha", "2", "--full")
     assert code == 0
     assert doc["dim"] == 6
 
@@ -607,10 +655,11 @@ def test_readme_cli_block_is_read():
         "degenerate", "catalog", "verify-paper"}
 
 
-# iso's files are not shipped; verify-paper and degenerate --all are pinned above
+# iso's files are not shipped; verify-paper and the whole-table degenerate are
+# pinned above
 @pytest.mark.parametrize(
     "argv", [argv for argv in _readme_cli_examples()
-             if argv[0] not in ("iso", "verify-paper") and argv != ["degenerate", "--all"]],
+             if argv[0] not in ("iso", "verify-paper") and argv != ["degenerate"]],
     ids=" ".join)
 def test_readme_cli_example(capsys, argv):
     code = main(argv)
