@@ -12,6 +12,7 @@ their message as one stderr line; a closed stdout keeps the exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -258,12 +259,14 @@ def _add_algebra_source(p, rename=None):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(
+    # options match only as declared: no parser takes a prefix of one
+    parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    ap = parser(
         prog="tpa",
         description="Exact workbench for 3-dimensional transposed Poisson algebras",
     )
     ap.add_argument("--pretty", action="store_true", help="indent JSON output")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=parser)
 
     p = sub.add_parser("check", help="run the identity checkers on one algebra")
     _add_algebra_source(p)
@@ -313,8 +316,7 @@ def build_parser():
     p.add_argument("--row", type=int, help="verify one table row (1..17), else the whole table")
     p.set_defaults(func=cmd_degenerate)
 
-    p = sub.add_parser("catalog", help="catalog operations")
-    p.add_argument("action", choices=["dump"])
+    p = sub.add_parser("catalog", help="every catalog entry at up to three samples")
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("verify-paper", help="run the whole reproduction suite")

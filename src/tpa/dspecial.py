@@ -17,8 +17,6 @@ two 2-dimensional exceptional pairs.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import linalg
 from .algebra import (
     AlgebraPair,
@@ -109,11 +107,6 @@ DERIVATION_FAMILIES = {
     "D08": ("A10", lambda e: linalg.transpose(((e, 0, 0), (0, 0, 0), (0, 0, e)))),
     "D2_01": ("A2_02", lambda a: linalg.transpose(((0, 0), (0, -a)))),
 }
-
-
-def derivation_for(family_id, params):
-    comm_id, builder = DERIVATION_FAMILIES[family_id]
-    return comm_id, builder(*[Fraction(p) for p in params])
 
 
 # ---------------------------------------------------------------------------

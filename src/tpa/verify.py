@@ -51,7 +51,6 @@ from .derivations import delta_derivations, derivation_residual
 from .dspecial import (
     DERIVATION_FAMILIES,
     brackets_all_zero,
-    derivation_for,
     derived_bracket,
     derivation_matching_bracket,
     n02_obstruction_report,
@@ -344,11 +343,10 @@ def claim_positive_reconstructions():
     """Each strong D-special family arises as the derived bracket of its
     commutative algebra with the tabulated derivation."""
     failures = []
-    for fid in DERIVATION_FAMILIES:
+    for fid, (comm_id, build) in DERIVATION_FAMILIES.items():
         for params in sample_params(fid):
-            comm_id, dmat = derivation_for(fid, params)
             comm = instantiate(comm_id).mul
-            got = derived_bracket(comm, dmat)
+            got = derived_bracket(comm, build(*params))
             want = instantiate(fid, params).bracket
             if got.c != want.c:
                 failures.append({"family": fid, "params": [str(p) for p in params]})

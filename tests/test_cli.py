@@ -242,12 +242,12 @@ def test_iso_witness_columns_are_the_new_basis(tmp_path, capsys):
     assert "3x3" not in usage
 
 
-#: sha256 of the whole ``catalog dump`` stdout
+#: sha256 of the whole ``catalog`` stdout
 CATALOG_DUMP_SHA256 = "d5f924f533b7768a8bb3f7319082c441927d5c3af5d0d45d11efe21debe45ee8"
 
 
 def test_catalog_dump(capsys):
-    code = main(["catalog", "dump"])
+    code = main(["catalog"])
     raw = capsys.readouterr().out.encode()
     assert hashlib.sha256(raw).hexdigest() == CATALOG_DUMP_SHA256
     doc = json.loads(raw)
@@ -305,12 +305,60 @@ def test_option_strings_per_command():
     }
 
 
+def test_options_match_only_as_declared(capsys):
+    # every long option of the top parser and of each subparser parses as
+    # written, and as --opt=value where it takes a value; each unambiguous
+    # proper prefix of one is an unknown argument, not a second spelling
+    import argparse
+
+    from tpa.cli import build_parser
+
+    top = build_parser()
+    commands = next(a for a in top._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    iso = ["--lhs", "a", "--rhs", "b", "--witness", "c"]
+    # each parser with the argv that parses once its options are put in
+    parsers = [(top, lambda opts: [*opts, "verify-paper"])] + [
+        (p, lambda opts, name=name: [name, *(iso if name == "iso" else []), *opts])
+        for name, p in commands.items()]
+    tried, accepted = 0, []
+    for parser, argv in parsers:
+        spellings = [o for a in parser._actions for o in a.option_strings]
+        for action in parser._actions:
+            for opt in (o for o in action.option_strings if o.startswith("--")):
+                value = [] if action.nargs == 0 else ["1"]
+                if opt != "--help":
+                    written = top.parse_args(argv([opt, *value]))
+                    assert getattr(written, action.dest) not in (None, False), opt
+                    if value:
+                        assert top.parse_args(argv([f"{opt}=1"])) == written, opt
+                for prefix in (opt[:n] for n in range(3, len(opt))):
+                    if [o for o in spellings if o.startswith(prefix)] != [opt]:
+                        continue
+                    tried += 1
+                    try:
+                        top.parse_args(argv([prefix, *value]))
+                        code = 0
+                    except SystemExit as exc:
+                        code = exc.code
+                    out, err = capsys.readouterr()
+                    if code != 2 or out or "unrecognized arguments" not in err:
+                        accepted.append(argv([prefix, *value]))
+    # the prefixes of the 50 option strings pinned above, of --pretty and of
+    # each parser's --help
+    assert tried == 216
+    assert accepted == []
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--lie", "g2"], ["dspecial", "--comm", "A04"], ["degenerate", "--all"],
-], ids=["lie", "comm", "degenerate-all"])
+    ["catalog", "dump"], ["dspecial", "--id", "A04", "--all"], ["degenerate", "--ro", "5"],
+    ["--pre", "check", "--id", "T05"],
+], ids=["lie", "comm", "degenerate-all", "catalog-dump", "all-prefix", "row-prefix",
+        "pretty-prefix"])
 def test_removed_spellings_exit_2(capsys, argv):
-    # no second spelling of --id, of --all-derivations or of the bare
-    # degenerate is accepted
+    # no second spelling of --id, of --all-derivations, of the bare
+    # degenerate or of catalog is accepted, and no prefix of an option
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -632,9 +680,9 @@ def test_iso_qt_pair_with_rational_witness(tmp_path, capsys):
 
 
 def test_deterministic_output(capsys):
-    code1 = main(["catalog", "dump"])
+    code1 = main(["catalog"])
     out1 = capsys.readouterr().out
-    code2 = main(["catalog", "dump"])
+    code2 = main(["catalog"])
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1 == out2
@@ -699,7 +747,7 @@ def test_closed_stdout_keeps_the_verdict(tmp_path):
                       ("witness", [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])):
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
         iso += [f"--{name}", str(tmp_path / f"{name}.json")]
-    for argv, code in ((["check", "--id", "T05"], 0), (["--pretty", "catalog", "dump"], 0),
+    for argv, code in ((["check", "--id", "T05"], 0), (["--pretty", "catalog"], 0),
                        (iso, 1)):
         assert _closed_stdout_run(argv) == (code, b""), argv
 

@@ -12,7 +12,6 @@ from tpa.dspecial import (
     NotADerivation,
     brackets_all_zero,
     commutator_bracket,
-    derivation_for,
     derivation_matching_bracket,
     derived_bracket,
     is_strong_d_special,
@@ -94,11 +93,10 @@ def test_vanishing_requires_comm_assoc():
 
 
 def test_derivation_families_reproduce_brackets():
-    for fid in DERIVATION_FAMILIES:
+    for fid, (comm_id, build) in DERIVATION_FAMILIES.items():
         for params in sample_params(fid):
-            comm_id, d = derivation_for(fid, params)
             comm = instantiate(comm_id).mul
-            got = derived_bracket(comm, d)
+            got = derived_bracket(comm, build(*params))
             want = instantiate(fid, params).bracket
             assert got.c == want.c, (fid, params)
 
