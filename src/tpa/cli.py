@@ -12,7 +12,6 @@ their message as one stderr line; a closed stdout keeps the exit code.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -43,33 +42,21 @@ class CliError(Exception):
     """Usage-level failure; mapped to exit code 2."""
 
 
-def _instantiate(args, family_id):
-    """The catalog family at the parameters given by its own options.
+class _Once(argparse.Action):
+    """Stores a value option given once: its dest holds the default object
+    until then, so a second occurrence, even of the same value, is refused."""
 
-    Each parameter binds to the option of its name (``args._param_option``
-    names the exceptions); an option the family does not take, or a
-    missing one, is a usage error."""
-    names = entry(family_id).param_names
-    options = [args._param_option.get(name, name) for name in names]
-    _reject_params(args, family_id, allowed=options)
-    missing = [f"--{o}" for o in options if getattr(args, o) is None]
-    if missing:
-        raise CliError(f"{family_id} needs {', '.join(missing)}")
-    return instantiate(family_id, [_rational(o, getattr(args, o)) for o in options])
-
-
-def _reject_params(args, owner, allowed=()):
-    """CliError naming the first parameter option given outside ``allowed``."""
-    for name in args._param_names:
-        if name not in allowed and getattr(args, name) is not None:
-            raise CliError(f"{owner} takes no parameter --{name}")
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not self.default:
+            raise argparse.ArgumentError(self, "may be given only once")
+        setattr(namespace, self.dest, values)
 
 
 def _rational(name, text):
     try:
         return parse_rational(text)
     except ScalarParseError as exc:
-        raise CliError(f"bad rational for --{name}: {excerpt(text)}") from exc
+        raise CliError(f"bad rational for {name}: {excerpt(text)}") from exc
 
 
 def _json_int(text):
@@ -98,12 +85,30 @@ def _load_pair(path):
 
 
 def _resolve_input(args):
+    """The algebra read from --input, or the --id family at its ``--param
+    NAME=VALUE`` items, NAME as in its ``param_names``; a parameter that is
+    malformed, not the family's, repeated or missing is a usage error."""
     if args.input:
-        _reject_params(args, "--input")
+        if args.param:
+            raise CliError("--input takes no --param")
         return _load_pair(args.input)
     if args.id is None:
         raise CliError("give --id or --input")
-    return _instantiate(args, args.id)
+    names = entry(args.id).param_names
+    given = {}
+    for item in args.param:
+        name, eq, text = item.partition("=")
+        if not eq:
+            raise CliError(f"--param takes NAME=VALUE, got {excerpt(item)}")
+        if name not in names:
+            raise CliError(f"{args.id} takes no parameter {excerpt(name)}")
+        if name in given:
+            raise CliError(f"--param {name} given twice")
+        given[name] = text
+    missing = [name for name in names if name not in given]
+    if missing:
+        raise CliError(f"{args.id} needs --param {', '.join(missing)}")
+    return instantiate(args.id, [_rational(f"--param {n}", given[n]) for n in names])
 
 
 def _space_doc(space):
@@ -134,7 +139,7 @@ def cmd_check(args):
 
 def cmd_der(args):
     pair = _resolve_input(args)
-    delta = _rational("delta", args.delta)
+    delta = _rational("--delta", args.delta)
     space = delta_derivations(pair.bracket if not args.mul else pair.mul, delta)
     return {"delta": QQ.format(delta), **_space_doc(space)}, True
 
@@ -241,26 +246,22 @@ def cmd_verify_paper(args):
 # parser
 # ---------------------------------------------------------------------------
 
-#: every parameter name of the catalog, in order of first use
-_PARAM_NAMES = tuple(dict.fromkeys(n for e in CATALOG.values() for n in e.param_names))
-
-
-def _add_algebra_source(p, rename=None):
-    """One option per family parameter name, then --id and --input as one
-    mutually exclusive group; ``rename`` maps a parameter to another option
-    where the command uses its name for something else."""
-    params = tuple(dict.fromkeys((rename or {}).get(n, n) for n in _PARAM_NAMES))
-    for name in params:
-        p.add_argument(f"--{name}", help=f"family parameter {name} (rational)")
+def _add_algebra_source(p):
+    """--param, then --id and --input as one mutually exclusive group."""
+    p.add_argument("--param", action="append", default=[], metavar="NAME=VALUE",
+                   help="a family parameter (rational) by its catalog name, once per name")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--id", help="catalog id (e.g. T05, g2, A04)")
     source.add_argument("--input", help="path to an algebra JSON file ('-' for stdin)")
-    p.set_defaults(_param_names=params, _param_option=rename or {})
 
 
 def build_parser():
-    # options match only as declared: no parser takes a prefix of one
-    parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    # options match only as declared, and one that stores a value is given once
+    def parser(**kwargs):
+        p = argparse.ArgumentParser(allow_abbrev=False, **kwargs)
+        p.register("action", None, _Once)
+        return p
+
     ap = parser(
         prog="tpa",
         description="Exact workbench for 3-dimensional transposed Poisson algebras",
@@ -273,8 +274,7 @@ def build_parser():
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("der", help="delta-derivations of a bracket (or product)")
-    # --delta is the delta, so a family parameter named delta is --epsilon
-    _add_algebra_source(p, rename={"delta": "epsilon"})
+    _add_algebra_source(p)
     p.add_argument("--delta", default="1/2", help="the delta, e.g. 1/2 or 1")
     p.add_argument("--mul", action="store_true",
                    help="solve on the product instead of the bracket")

@@ -31,13 +31,13 @@ def test_check_t05(capsys):
 
 
 def test_check_t07_pretty(capsys):
-    code, doc = run(capsys, "--pretty", "check", "--id", "T07", "--beta", "2")
+    code, doc = run(capsys, "--pretty", "check", "--id", "T07", "--param", "beta=2")
     assert code == 0
     assert doc["identities"]["leibniz"] is False
 
 
 def test_t07_beta_binds_beta(capsys):
-    # --beta is T07's own parameter, so binding options by name keeps it
+    # beta is T07's own parameter name, on check and on der alike
     from fractions import Fraction as F
 
     from tpa.algebra import matrix_to_json
@@ -45,19 +45,19 @@ def test_t07_beta_binds_beta(capsys):
     from tpa.derivations import delta_derivations
     from tpa.scalars import QQ
 
-    assert main(["check", "--id", "T07", "--beta", "2"]) == 0
+    assert main(["check", "--id", "T07", "--param", "beta=2"]) == 0
     assert capsys.readouterr().out == (
         '{"id": "T07", "identities": {"commutative": true, "associative": true, '
         '"anticommutative": true, "jacobi": true, "transposed_leibniz": true, '
         '"leibniz": false}, "transposed_poisson": true, "poisson": false}\n')
-    code, doc = run(capsys, "der", "--id", "T07", "--beta", "2")
+    code, doc = run(capsys, "der", "--id", "T07", "--param", "beta=2")
     assert code == 0
     space = delta_derivations(instantiate("T07", (2,)).bracket, F(1, 2))
     assert doc["basis"] == [matrix_to_json(b, QQ) for b in space.basis]
 
 
 def test_der_g2_half(capsys):
-    code, doc = run(capsys, "der", "--id", "g2", "--alpha", "1/2", "--delta", "1/2")
+    code, doc = run(capsys, "der", "--id", "g2", "--param", "alpha=1/2", "--delta", "1/2")
     assert code == 0
     assert doc["dim"] == 4
     assert len(doc["basis"]) == 4
@@ -70,7 +70,7 @@ def test_der_defaults_to_half(capsys):
 
 
 def test_biderive(capsys):
-    code, doc = run(capsys, "biderive", "--id", "g2", "--alpha", "2")
+    code, doc = run(capsys, "biderive", "--id", "g2", "--param", "alpha=2")
     assert code == 0
     assert doc["dim"] == 5
 
@@ -143,8 +143,8 @@ def test_dspecial_comm_family_parameters(capsys):
     from tpa.dspecial import derivation_matching_bracket
     from tpa.scalars import QQ
 
-    code, doc = run(capsys, "dspecial", "--id", "DA02", "--alpha", "1", "--beta", "2",
-                    "--all-derivations", "--feasible")
+    code, doc = run(capsys, "dspecial", "--id", "DA02", "--param", "alpha=1",
+                    "--param", "beta=2", "--all-derivations", "--feasible")
     assert code == 0
     assert doc["derivations"]["dim"] == 2
     pair = instantiate("DA02", (F(1), F(2)))
@@ -154,7 +154,8 @@ def test_dspecial_comm_family_parameters(capsys):
 
 
 def test_der_four_parameter_family(capsys):
-    # --delta is the delta, so --epsilon is the fourth parameter slot of der
+    # der names a family parameter as every command does: DA03's delta is
+    # --param delta, D08's epsilon --param epsilon
     from fractions import Fraction as F
 
     from tpa.algebra import matrix_to_json
@@ -162,34 +163,68 @@ def test_der_four_parameter_family(capsys):
     from tpa.derivations import delta_derivations
     from tpa.scalars import QQ
 
-    code, doc = run(capsys, "der", "--id", "DA03", "--alpha", "1", "--beta", "1",
-                    "--gamma", "1", "--epsilon", "1")
+    code, doc = run(capsys, "der", "--id", "DA03", "--param", "alpha=1", "--param", "beta=1",
+                    "--param", "gamma=1", "--param", "delta=1")
     assert code == 0
     space = delta_derivations(instantiate("DA03", (1, 1, 1, 1)).bracket, F(1, 2))
     assert doc["dim"] == space.dim
     assert doc["basis"] == [matrix_to_json(b, QQ) for b in space.basis]
-    code, doc = run(capsys, "der", "--id", "D08", "--epsilon", "1")
+    code, doc = run(capsys, "der", "--id", "D08", "--param", "epsilon=1")
     assert code == 0
     assert doc["dim"] == delta_derivations(instantiate("D08", (1,)).bracket, F(1, 2)).dim
 
 
-@pytest.mark.parametrize("command, rename", [
-    ("check", {}), ("der", {"delta": "epsilon"}),
-], ids=["check", "der"])
-def test_every_catalog_parameter_is_an_option(command, rename):
-    # each parameter of each entry binds to its option, renamed where der
-    # uses the name itself, and gives the entry at that sample
+@pytest.mark.parametrize("command", ["check", "der"])
+def test_every_catalog_parameter_is_an_option(command):
+    # each parameter of each entry, given as --param name=value under its
+    # catalog name (der's own --delta included), gives the entry at that
+    # sample
     from tpa.algebra import pairs_equal
     from tpa.catalog import CATALOG, instantiate
-    from tpa.cli import _instantiate, build_parser
+    from tpa.cli import _resolve_input, build_parser
 
     for cid, e in CATALOG.items():
         params = e.samples[0]
         argv = [command, "--id", cid]
         for name, value in zip(e.param_names, params):
-            argv += [f"--{rename.get(name, name)}", str(value)]
+            argv += ["--param", f"{name}={value}"]
         args = build_parser().parse_args(argv)
-        assert pairs_equal(_instantiate(args, cid), instantiate(cid, params)), cid
+        assert pairs_equal(_resolve_input(args), instantiate(cid, params)), cid
+
+
+def test_der_delta_is_not_the_family_delta(capsys):
+    # --delta is der's delta and --param delta DA03's: each reaches only its own
+    from fractions import Fraction as F
+
+    from tpa.algebra import matrix_to_json
+    from tpa.catalog import instantiate
+    from tpa.derivations import delta_derivations
+    from tpa.scalars import QQ
+
+    family = ["--param", "alpha=1", "--param", "beta=1", "--param", "gamma=1"]
+    for param, delta in (("1", "1/2"), ("1/2", "1")):
+        code, doc = run(capsys, "der", "--id", "DA03", *family, "--param", f"delta={param}",
+                        "--delta", delta)
+        assert code == 0 and doc["delta"] == delta
+        pair = instantiate("DA03", (1, 1, 1, F(param)))
+        space = delta_derivations(pair.bracket, F(delta))
+        assert doc["basis"] == [matrix_to_json(b, QQ) for b in space.basis]
+
+
+def test_negative_parameter_takes_no_equals_form(capsys):
+    # --param beta=-1/2 is one argument that does not start with '-', so it
+    # reaches T07 at beta = -1/2 without --param=beta=-1/2
+    from fractions import Fraction as F
+
+    from tpa.algebra import pairs_equal
+    from tpa.catalog import instantiate
+    from tpa.cli import _resolve_input, build_parser
+
+    argv = ["check", "--id", "T07", "--param", "beta=-1/2"]
+    assert pairs_equal(_resolve_input(build_parser().parse_args(argv)),
+                       instantiate("T07", (F(-1, 2),)))
+    code, doc = run(capsys, *argv)
+    assert code == 0 and doc["id"] == "T07"
 
 
 def test_dspecial_feasible(capsys):
@@ -266,7 +301,7 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     code = main(["check"])
     assert code == 2
-    code = main(["der", "--id", "g2", "--alpha", "1/2", "--delta", "nope"])
+    code = main(["der", "--id", "g2", "--param", "alpha=1/2", "--delta", "nope"])
     assert code == 2
     # --id and --input are exclusive: argparse's usage line, not a silent
     # choice of one
@@ -279,21 +314,20 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_option_strings_per_command():
-    # each request has one spelling: the algebra is --id or --input, the
-    # whole degeneration table is degenerate without --row
+    # each request has one spelling: the algebra is --id or --input, its
+    # family parameters are --param items, the whole degeneration table is
+    # degenerate without --row
     import argparse
 
     from tpa.cli import build_parser
 
-    params = ["--alpha", "--beta", "--gamma", "--delta", "--epsilon"]
-    source = [*params, "--id", "--input"]
-    der_source = [p for p in params if p != "--delta"] + ["--id", "--input"]
+    source = ["--param", "--id", "--input"]
     commands = next(a for a in build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
     assert {name: [o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")]
             for name, p in commands.items()} == {
         "check": source,
-        "der": [*der_source, "--delta", "--mul"],
+        "der": [*source, "--delta", "--mul"],
         "biderive": [*source, "--full"],
         "enumerate": source,
         "iso": ["--lhs", "--rhs", "--witness"],
@@ -303,12 +337,15 @@ def test_option_strings_per_command():
         "catalog": [],
         "verify-paper": [],
     }
+    assert sum(len(a.option_strings) for p in commands.values() for a in p._actions
+               if a.option_strings != ["-h", "--help"]) == 27
 
 
 def test_options_match_only_as_declared(capsys):
     # every long option of the top parser and of each subparser parses as
-    # written, and as --opt=value where it takes a value; each unambiguous
-    # proper prefix of one is an unknown argument, not a second spelling
+    # written, and as --opt=value where it takes a value; a flag given twice
+    # is the flag; each unambiguous proper prefix of one is an unknown
+    # argument, not a second spelling
     import argparse
 
     from tpa.cli import build_parser
@@ -316,10 +353,13 @@ def test_options_match_only_as_declared(capsys):
     top = build_parser()
     commands = next(a for a in top._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
-    iso = ["--lhs", "a", "--rhs", "b", "--witness", "c"]
-    # each parser with the argv that parses once its options are put in
-    parsers = [(top, lambda opts: [*opts, "verify-paper"])] + [
-        (p, lambda opts, name=name: [name, *(iso if name == "iso" else []), *opts])
+    iso = {"--lhs": "a", "--rhs": "b", "--witness": "c"}
+    # each parser with the argv that parses once opts, a spelling of the
+    # option opt, are put in: iso keeps its required options other than opt
+    parsers = [(top, lambda opt, opts: [*opts, "verify-paper"])] + [
+        (p, lambda opt, opts, name=name: [
+            name, *[t for o, v in iso.items() if name == "iso" and o != opt for t in (o, v)],
+            *opts])
         for name, p in commands.items()]
     tried, accepted = 0, []
     for parser, argv in parsers:
@@ -328,42 +368,68 @@ def test_options_match_only_as_declared(capsys):
             for opt in (o for o in action.option_strings if o.startswith("--")):
                 value = [] if action.nargs == 0 else ["1"]
                 if opt != "--help":
-                    written = top.parse_args(argv([opt, *value]))
+                    written = top.parse_args(argv(opt, [opt, *value]))
                     assert getattr(written, action.dest) not in (None, False), opt
                     if value:
-                        assert top.parse_args(argv([f"{opt}=1"])) == written, opt
+                        assert top.parse_args(argv(opt, [f"{opt}=1"])) == written, opt
+                    else:
+                        assert top.parse_args(argv(opt, [opt, opt])) == written, opt
                 for prefix in (opt[:n] for n in range(3, len(opt))):
                     if [o for o in spellings if o.startswith(prefix)] != [opt]:
                         continue
                     tried += 1
                     try:
-                        top.parse_args(argv([prefix, *value]))
+                        top.parse_args(argv(None, [prefix, *value]))
                         code = 0
                     except SystemExit as exc:
                         code = exc.code
                     out, err = capsys.readouterr()
                     if code != 2 or out or "unrecognized arguments" not in err:
-                        accepted.append(argv([prefix, *value]))
-    # the prefixes of the 50 option strings pinned above, of --pretty and of
+                        accepted.append(argv(None, [prefix, *value]))
+    # the prefixes of the 27 option strings pinned above, of --pretty and of
     # each parser's --help
-    assert tried == 216
+    assert tried == 122
     assert accepted == []
 
 
 @pytest.mark.parametrize("argv", [
     ["check", "--lie", "g2"], ["dspecial", "--comm", "A04"], ["degenerate", "--all"],
     ["catalog", "dump"], ["dspecial", "--id", "A04", "--all"], ["degenerate", "--ro", "5"],
-    ["--pre", "check", "--id", "T05"],
+    ["--pre", "check", "--id", "T05"], ["check", "--id", "g2", "--alpha", "1/2"],
+    ["check", "--id", "T07", "--beta", "2"], ["check", "--id", "T19", "--gamma", "1"],
+    ["check", "--id", "DA03", "--alpha", "1", "--beta", "1", "--gamma", "1", "--delta", "1"],
+    ["der", "--id", "D08", "--epsilon", "1"],
 ], ids=["lie", "comm", "degenerate-all", "catalog-dump", "all-prefix", "row-prefix",
-        "pretty-prefix"])
+        "pretty-prefix", "alpha", "beta", "gamma", "delta", "epsilon"])
 def test_removed_spellings_exit_2(capsys, argv):
     # no second spelling of --id, of --all-derivations, of the bare
-    # degenerate or of catalog is accepted, and no prefix of an option
+    # degenerate, of catalog or of --param name=value is accepted, and no
+    # prefix of an option
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["degenerate", "--row", "5", "--row", "6"], ["degenerate", "--row", "5", "--row", "5"],
+    ["check", "--id", "T05", "--id", "T07"], ["check", "--input", "a.json", "--input", "a.json"],
+    ["der", "--id", "sl2", "--delta", "1", "--delta", "1"],
+    ["der", "--id", "sl2", "--delta=1/2", "--delta=1/2"],
+    ["iso", "--lhs", "a", "--lhs", "a", "--rhs", "b", "--witness", "c"],
+    ["iso", "--lhs", "a", "--rhs", "b", "--rhs", "b", "--witness", "c"],
+    ["iso", "--lhs", "a", "--rhs", "b", "--witness", "c", "--witness", "d"],
+], ids=["row", "row-same-value", "id", "input", "delta", "delta-default-value", "lhs", "rhs",
+        "witness"])
+def test_value_option_given_twice_exit_2(capsys, argv):
+    # an option that takes a value names it once: a second occurrence, even
+    # of the same value, is argparse's usage error, not the last one winning
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: tpa ") and "may be given only once" in err
 
 
 def test_dspecial_without_a_request_exit_2(capsys):
@@ -377,7 +443,23 @@ def test_dspecial_without_a_request_exit_2(capsys):
 
 
 def test_inadmissible_parameter_exit_2(capsys):
-    assert main(["check", "--id", "T19", "--gamma", "0"]) == 2
+    assert main(["check", "--id", "T19", "--param", "gamma=0"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--id", "T07", "--param", "beta"], "--param takes NAME=VALUE, got 'beta'"),
+    (["check", "--id", "T07", "--param", "gamma=2"], "T07 takes no parameter 'gamma'"),
+    (["der", "--id", "T07", "--param", "beta=2", "--param", "beta=2"], "--param beta given twice"),
+    (["check", "--id", "T09"], "T09 needs --param alpha, beta"),
+    (["check", "--id", "T09", "--param", "beta=1"], "T09 needs --param alpha"),
+    (["check", "--input", "-", "--param", "beta=1"], "--input takes no --param"),
+    (["check", "--id", "T07", "--param", "beta=x"], "bad rational for --param beta: 'x'"),
+], ids=["without-equals", "not-a-parameter", "given-twice", "missing", "missing-one",
+        "with-input", "bad-rational"])
+def test_param_error_names_the_item(capsys, argv, message):
+    # each --param error exits 2 with one stderr line, before any file is read
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", message + "\n")
 
 
 def test_iso_missing_file_exit_2(capsys):
@@ -410,13 +492,19 @@ NOT_LIE = '{"dim": 2, "bracket": [[1, 1, 1, "1"]]}'
     (["degenerate", "--row", "42"], {}),
     (["biderive"], {"input": NOT_LIE}),
     (["enumerate"], {"input": NOT_LIE}),
-    (["der", "--id", "g2", "--alpha", "1", "--delta", "1e2000000"], {}),
-    (["check", "--id", "g2", "--alpha", "1e400"], {}),
-    (["dspecial", "--id", "A04", "--all-derivations", "--alpha", "7"], {}),
-    (["check", "--id", "T07", "--gamma", "2"], {}),
-    (["check", "--id", "D08", "--alpha", "1"], {}),
-    (["check", "--id", "T09", "--alpha", "2"], {}),
-    (["check", "--alpha", "1"], {"input": '{"dim": 1}'}),
+    (["der", "--id", "g2", "--param", "alpha=1", "--delta", "1e2000000"], {}),
+    (["check", "--id", "g2", "--param", "alpha=1e400"], {}),
+    (["dspecial", "--id", "A04", "--all-derivations", "--param", "alpha=7"], {}),
+    (["check", "--id", "T07", "--param", "gamma=2"], {}),
+    (["check", "--id", "D08", "--param", "alpha=1"], {}),
+    (["check", "--id", "T09", "--param", "alpha=2"], {}),
+    (["check", "--param", "alpha=1"], {"input": '{"dim": 1}'}),
+    (["check", "--id", "T07", "--param", "beta"], {}),
+    (["check", "--id", "T07", "--param", "x" * 5000], {}),
+    (["check", "--id", "T07", "--param", "x" * 5000 + "=1"], {}),
+    (["check", "--id", "T07", "--param", "beta=1", "--param", "beta=2"], {}),
+    (["check", "--id", "T09"], {}),
+    (["check", "--id", "T07", "--param", "beta=1/0"], {}),
     (["check"], {"input": json.dumps({"dim": "x" * 5000})}),
     (["check"], {"input": json.dumps({"dim": 3, "mul": [[1, 1, 9, "1" * 5000]]})}),
     (["check", "--id", "x" * 5000], {}),
@@ -431,7 +519,9 @@ NOT_LIE = '{"dim": 2, "bracket": [[1, 1, 1, "1"]]}'
         "negative-dim", "witness-shape", "t-exponent-too-large", "unknown-row",
         "biderive-not-lie", "enumerate-not-lie", "delta-exponent", "alpha-exponent",
         "comm-extra-parameter", "t07-gamma-not-a-parameter", "d08-alpha-not-a-parameter",
-        "missing-parameter", "input-with-parameter", "long-dim", "long-entry-out-of-range",
+        "missing-parameter", "input-with-parameter", "param-without-equals",
+        "long-param-without-equals", "long-param-name", "param-given-twice",
+        "missing-parameters", "param-bad-rational", "long-dim", "long-entry-out-of-range",
         "long-unknown-id", "digit-limit-dim", "digit-limit-index", "digit-limit-value",
         "nested-990", "nested-deep", "witness-nested-deep"])
 def test_malformed_input_exit_2(tmp_path, capsys, command, files):
@@ -545,8 +635,8 @@ LONG_MALFORMED = "x" * 5000
 
 
 @pytest.mark.parametrize("argv, files", [
-    (["check", "--id", "T03", "--beta", LONG_MALFORMED], {}),
-    (["der", "--id", "g2", "--alpha", "1", "--delta", LONG_MALFORMED], {}),
+    (["check", "--id", "T03", "--param", "beta=" + LONG_MALFORMED], {}),
+    (["der", "--id", "g2", "--param", "alpha=1", "--delta", LONG_MALFORMED], {}),
     (["check", "--input", "a.json"],
      {"a.json": json.dumps({"dim": 3, "mul": [[1, 1, 1, LONG_MALFORMED]]})}),
     (["check", "--input", "a.json"],
@@ -571,17 +661,17 @@ def _digit_limit():
 
 @pytest.mark.skipif(not _digit_limit(), reason="no integer digit limit")
 @pytest.mark.parametrize("argv, flag", [
-    (["check", "--id", "T03", "--beta"], "beta"),
-    (["check", "--id", "g2", "--alpha"], "alpha"),
-    (["der", "--id", "g2", "--alpha", "1", "--delta"], "delta"),
+    (["check", "--id", "T03", "--param", "beta="], "--param beta"),
+    (["check", "--id", "g2", "--param", "alpha="], "--param alpha"),
+    (["der", "--id", "g2", "--param", "alpha=1", "--delta", ""], "--delta"),
 ], ids=["beta", "alpha", "delta"])
 def test_parameter_beyond_digit_limit_exit_2(capsys, argv, flag):
     # Fraction's ValueError past the digit limit is a parse error, not a
     # failed verification
-    assert main(argv + ["1" * (_digit_limit() + 1)]) == 2
+    assert main(argv[:-1] + [argv[-1] + "1" * (_digit_limit() + 1)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"bad rational for --{flag}" in captured.err
+    assert f"bad rational for {flag}" in captured.err
     assert "Traceback" not in captured.err
 
 
@@ -596,7 +686,7 @@ def test_missing_source_names_the_commands_options(capsys, argv):
 
 
 def test_biderive_full_flag(capsys):
-    code, doc = run(capsys, "biderive", "--id", "g2", "--alpha", "2", "--full")
+    code, doc = run(capsys, "biderive", "--id", "g2", "--param", "alpha=2", "--full")
     assert code == 0
     assert doc["dim"] == 6
 
