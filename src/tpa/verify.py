@@ -25,6 +25,7 @@ import os
 import random
 import threading
 import zlib
+from collections import namedtuple
 from fractions import Fraction
 
 from . import degeneration, linalg
@@ -34,6 +35,7 @@ from .algebra import (
     StructureConstants,
     check_identity,
     is_transposed_poisson,
+    matrix_to_json,
     operator_matrix,
     transport,
 )
@@ -88,6 +90,11 @@ COMM_IDS = tuple(cid for cid, e in CATALOG.items() if e.kind == "comm")
 SEED = zlib.crc32(b"paper")
 
 
+def _texts(values):
+    """The printed texts of Q values, through ``QQ.format``: a float raises."""
+    return [QQ.format(v) for v in values]
+
+
 def _claim(cid, ok, **details):
     out = {"id": cid, "pass": bool(ok)}
     out.update(details)
@@ -105,10 +112,10 @@ def claim_axioms():
         for which in TRANSPOSED_POISSON_AXIOMS:
             rep = check_identity(pair, which)
             if not rep.holds:
-                failures.append((tid, [str(p) for p in params], which))
+                failures.append((tid, _texts(params), which))
         if tid == "T07" and params[0] != 0:
             if check_identity(pair, "leibniz").holds:
-                leibniz_failures_needed.append((tid, str(params[0])))
+                leibniz_failures_needed.append((tid, QQ.format(params[0])))
     ok = not failures and not leibniz_failures_needed
     return _claim("axiom-suite", ok, identity_failures=failures,
                   t07_leibniz_unexpectedly_holds=leibniz_failures_needed)
@@ -136,7 +143,7 @@ def claim_halfder_dims():
     ok = True
     for lid, params, expected in HALFDER_TABLE:
         dim = delta_derivations(instantiate(lid, params).bracket, F(1, 2)).dim
-        got.append({"lie": lid, "params": [str(p) for p in params],
+        got.append({"lie": lid, "params": _texts(params),
                     "dim": dim, "expected": expected})
         ok = ok and dim == expected
     return _claim("halfder-dimension-table", ok, table=got)
@@ -189,81 +196,72 @@ def _associative(prod, lie):
     return check_identity(AlgebraPair(prod, lie).primitive, "associative").holds
 
 
+#: criterion 3's families, one row per ``family_dims`` key: the Lie id and
+#: parameters, the family's dimension k and the printed product builder,
+#: linear in its k parameters (none for the generic g2, whose dimension
+#: alone is checked); where not every member is associative, the printed
+#: associativity condition, a map from k draws to a point of its zero set
+#: (None to redraw), and the zero-set point of the degenerate branch
+ProductFamilyRow = namedtuple(
+    "ProductFamilyRow", "key lie params dim build condition on_zero_set branch",
+    defaults=(None, None, None, None))
+
+PRODUCT_FAMILIES = (
+    ProductFamilyRow("g1", "g1", (), 3, g1_family_product),
+    ProductFamilyRow("g2_generic", "g2", (F(3),), 3),
+    ProductFamilyRow(
+        "g2_2", "g2", (F(2),), 5, g2_2_family_product, g2_2_assoc_condition,
+        lambda b12_1, _, b31_3, b32_3, b33_3: (
+            (b12_1, QQ.div(b31_3 * b12_1, b33_3), b31_3, b32_3, b33_3) if b33_3 else None),
+        (F(1), F(0), F(0), F(2), F(0))),  # the b33_3 = 0 branch
+    ProductFamilyRow(
+        "g2_0", "g2", (F(0),), 5, g2_0_family_product, g2_0_assoc_condition,
+        lambda b22_2, b22_3, b31_3, _, b33_3: (
+            (b22_2, b22_3, b31_3, b31_3 + QQ.div(b22_3 * b22_3 - b33_3 * b22_3, b22_2), b33_3)
+            if b22_2 else None),
+        (F(0), F(0), F(1), F(2), F(3))),  # the b22_2 = 0 branch
+)
+
+
 def claim_enumeration():
+    """Criterion 3 over ``PRODUCT_FAMILIES``.  A builder linear in k
+    parameters gives the whole k-dimensional family exactly when its k unit
+    members are members of rank k, so the random points test only
+    associativity: every member at 20 grid points where the row has no
+    condition, else the condition against associativity at 11 points on
+    its zero set (the branch point one of them) and 10 off it."""
     rng = random.Random(SEED)
-    details = {}
-    ok = True
-
     dims = {}
-    families = {}
-    for key, lid, params, expected in (
-        ("g1", "g1", (), 3),
-        ("g2_generic", "g2", (F(3),), 3),
-        ("g2_2", "g2", (F(2),), 5),
-        ("g2_0", "g2", (F(0),), 5),
-    ):
-        fam = tp_family(instantiate(lid, params).bracket)
-        families[key] = fam
-        dims[key] = fam.dim
-        ok = ok and fam.dim == expected
-    details["family_dims"] = dims
-
-    # g1: residual vanishes identically on a random grid
-    g1_ok = True
-    fam = families["g1"]
-    for _ in range(20):
-        prod = g1_family_product(*(_rand_fraction(rng) for _ in range(3)))
-        if fam.space.coords_of(prod.c) is None or not _associative(prod, fam.lie):
-            g1_ok = False
-    details["g1_grid_residual_zero"] = g1_ok
-    ok = ok and g1_ok
-
-    def zero_set_check(key, make_product, condition, satisfying, violating):
-        fam = families[key]
-        good = True
-        for kind, pts in (("sat", satisfying), ("viol", violating)):
-            for pt in pts:
-                prod = make_product(*pt)
-                if fam.space.coords_of(prod.c) is None:
-                    good = False
-                    continue
-                zero = _associative(prod, fam.lie)
-                if kind == "sat" and not (condition(*pt) and zero):
-                    good = False
-                if kind == "viol" and (condition(*pt) or zero):
-                    good = False
-        details[f"{key}_points"] = {"sat": len(satisfying), "viol": len(violating)}
-        details[f"{key}_zero_set_matches"] = good
-        return good
-
-    sat, viol = [], []
-    while len(sat) < 10:
-        b12, b31, b33 = (_rand_fraction(rng) for _ in range(3))
-        if b33 == 0:
+    details = {"family_dims": dims}
+    ok = True
+    for row in PRODUCT_FAMILIES:
+        fam = tp_family(instantiate(row.lie, row.params).bracket)
+        dims[row.key] = fam.dim
+        ok = ok and fam.dim == row.dim
+        if row.build is None:
             continue
-        b32 = QQ.div(b31 * b12, b33)
-        sat.append((b12, b32, b31, _rand_fraction(rng), b33))
-    sat.append((F(1), F(0), F(0), F(2), F(0)))  # the b33 = 0 branch
-    while len(viol) < 10:
-        pt = tuple(_rand_fraction(rng) for _ in range(5))
-        if not g2_2_assoc_condition(*pt):
-            viol.append(pt)
-    ok = zero_set_check("g2_2", g2_2_family_product, g2_2_assoc_condition, sat, viol) and ok
-
-    sat, viol = [], []
-    while len(sat) < 10:
-        b22_2, b22_3, b31, b33 = (_rand_fraction(rng) for _ in range(4))
-        if b22_2 == 0:
-            continue
-        b32 = b31 + QQ.div(b22_3 * b22_3 - b33 * b22_3, b22_2)
-        sat.append((b22_2, b22_3, b31, b32, b33))
-    sat.append((F(0), F(0), F(1), F(2), F(3)))  # b22 = 0 branch
-    while len(viol) < 10:
-        pt = tuple(_rand_fraction(rng) for _ in range(5))
-        if not g2_0_assoc_condition(*pt):
-            viol.append(pt)
-    ok = zero_set_check("g2_0", g2_0_family_product, g2_0_assoc_condition, sat, viol) and ok
-
+        units = [fam.space.coords_of(row.build(*(int(i == j) for j in range(row.dim))).c)
+                 for i in range(row.dim)]
+        good = None not in units and linalg.rank(units, QQ) == fam.dim
+        if row.condition is None:
+            good = good and all(
+                _associative(row.build(*(_rand_fraction(rng) for _ in range(row.dim))), fam.lie)
+                for _ in range(20))
+            details[f"{row.key}_grid_residual_zero"] = good
+        else:
+            sat, viol = [row.branch], []
+            while len(sat) < 11 or len(viol) < 10:
+                pt = tuple(_rand_fraction(rng) for _ in range(row.dim))
+                if len(sat) < 11 and (on := row.on_zero_set(*pt)):
+                    sat.append(on)
+                if len(viol) < 10 and not row.condition(*pt):
+                    viol.append(pt)
+            good = good and all(
+                row.condition(*pt) == holds == _associative(row.build(*pt), fam.lie)
+                for holds, pts in ((True, sat), (False, viol)) for pt in pts)
+            details[f"{row.key}_points"] = {"sat": len(sat), "viol": len(viol)}
+            details[f"{row.key}_zero_set_matches"] = good
+        ok = ok and good
     return _claim("enumeration-families", ok, **details)
 
 
@@ -279,8 +277,8 @@ def claim_witnesses():
         b = instantiate(*w.target)
         if not verify_witness(a, b, w.matrix):
             failures.append({"name": w.name,
-                             "source": [w.source[0], [str(p) for p in w.source[1]]],
-                             "target": [w.target[0], [str(p) for p in w.target[1]]]})
+                             "source": [w.source[0], _texts(w.source[1])],
+                             "target": [w.target[0], _texts(w.target[1])]})
         elif catalog_fingerprint(a) != catalog_fingerprint(b):
             fp_mismatch.append(w.name)
     ok = not failures and not fp_mismatch
@@ -318,8 +316,7 @@ def claim_negative_list_as_printed(solved):
         checked += 1
         if d is not None:
             counterexamples.append({
-                "id": tid, "params": [str(p) for p in params],
-                "derivation": [[str(v) for v in row] for row in d],
+                "id": tid, "params": _texts(params), "derivation": matrix_to_json(d, QQ),
             })
     return _claim("negative-list-as-printed", not counterexamples,
                   checked=checked, counterexamples=counterexamples)
@@ -334,7 +331,7 @@ def claim_strong_special_partition(solved):
         neg = COMPUTED_NEGATIVE.get(tid)
         expected_negative = neg == "all" or (neg == "zero" and params[0] == 0)
         if special == expected_negative:
-            mismatches.append({"id": tid, "params": [str(p) for p in params],
+            mismatches.append({"id": tid, "params": _texts(params),
                                "strong_d_special": special})
     return _claim("strong-special-partition", not mismatches, mismatches=mismatches)
 
@@ -349,9 +346,9 @@ def claim_positive_reconstructions():
             got = derived_bracket(comm, build(*params))
             want = instantiate(fid, params).bracket
             if got.c != want.c:
-                failures.append({"family": fid, "params": [str(p) for p in params]})
+                failures.append({"family": fid, "params": _texts(params)})
             if not is_transposed_poisson(AlgebraPair(comm, got)):
-                failures.append({"family": fid, "params": [str(p) for p in params],
+                failures.append({"family": fid, "params": _texts(params),
                                  "reason": "not transposed Poisson"})
     return _claim("derivation-family-reconstructions", not failures, failures=failures)
 
@@ -375,13 +372,9 @@ def claim_novikov():
     witness = [[0, 1], [-1, 0]]  # e1 -> -e2, e2 -> e1
     details["np01_witness_verifies"] = verify_witness(comm_pair, n01, witness)
 
-    span = (QQ.coerce(-1), QQ.coerce(0), QQ.coerce(1))
-    found = next(
-        ([[str(a), str(b)], [str(c), str(d)]]
-         for a, b, c, d in itertools.product(span, repeat=4)
-         if a * d - b * c and verify_witness(comm_pair, n01, [[a, b], [c, d]])),
-        None,
-    )
+    found = next((matrix_to_json(m, QQ) for m in (
+        [[a, b], [c, d]] for a, b, c, d in itertools.product((-1, 0, 1), repeat=4))
+        if verify_witness(comm_pair, n01, m)), None)
     details["np01_witness_by_search"] = found
 
     obstruction = n02_obstruction_report()
@@ -446,8 +439,8 @@ def rigidity_audit(reports):
             checks = degeneration.necessary_checks(sinv, minv)
             if checks["ok"]:
                 open_list.append({
-                    "source": [sid, [str(p) for p in sparams]],
-                    "member": [mid, [str(p) for p in mparams]],
+                    "source": [sid, _texts(sparams)],
+                    "member": [mid, _texts(mparams)],
                 })
     within = all((o["source"][0], o["member"][0]) in RIGIDITY_OPEN_LIST
                  for o in open_list)
@@ -553,8 +546,8 @@ def separation_audit():
                     same_family += 1
                 else:
                     cross_family.append(
-                        (prints[i][0], [str(p) for p in prints[i][1]],
-                         prints[j][0], [str(p) for p in prints[j][1]])
+                        (prints[i][0], _texts(prints[i][1]),
+                         prints[j][0], _texts(prints[j][1]))
                     )
     within = all(
         frozenset({a, b}) in SEPARATION_EXCEPTIONS

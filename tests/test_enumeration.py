@@ -4,12 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from tpa import linalg
+from tpa import linalg, verify
 from tpa.algebra import AlgebraPair, StructureConstants, check_identity, is_transposed_poisson
 from tpa.catalog import instantiate, t_series_samples
 from tpa.derivations import NotALieAlgebra
 from tpa.enumeration import assoc_residual, check_membership, member_pair, tp_family
 from tpa.verify import (
+    PRODUCT_FAMILIES,
     g1_family_product,
     g2_0_assoc_condition,
     g2_0_family_product,
@@ -116,20 +117,26 @@ def _residual(product, bracket):
     return {(cell, m): v for cell, r in violations for m, v in enumerate(r) if v}
 
 
-@pytest.mark.parametrize("params, make, form, nonzero", [
-    ((), g1_family_product, {}, 0),
-    ((F(2),), g2_2_family_product, {(0, 2): 1, (1, 4): -1}, 2),
-    ((F(0),), g2_0_family_product, {(1, 1): 1, (1, 4): -1, (0, 2): 1, (0, 3): -1}, 4),
+def _row(key):
+    return next(row for row in PRODUCT_FAMILIES if row.key == key)
+
+
+@pytest.mark.parametrize("key, form, nonzero", [
+    ("g1", {}, 0),
+    ("g2_2", {(0, 2): 1, (1, 4): -1}, 2),
+    ("g2_0", {(1, 1): 1, (1, 4): -1, (0, 2): 1, (0, 3): -1}, 4),
 ], ids=["g1", "g2-alpha-2", "g2-alpha-0"])
-def test_associativity_residual_by_polarisation(params, make, form, nonzero):
+def test_associativity_residual_by_polarisation(key, form, nonzero):
     # The product is linear in its k parameters and the residual R quadratic
     # in the product, so each residual coordinate at p is the quadratic form
     # sum_i p_i^2 R(u_i) + sum_{i<j} p_i p_j (R(u_i + u_j) - R(u_i) - R(u_j))
     # in the unit members u_i.  Each coordinate must be +-``form`` (the
     # printed condition as {(i, j): coefficient of p_i p_j}, parameters in
     # signature order), which proves criterion 3 at every point.  The u_i
-    # are independent in the family, so they parametrise all of it.
-    fam = tp_family(lie("g2" if params else "g1", *params))
+    # are independent in the family, so they parametrise all of it.  The
+    # builders are criterion 3's, read from its table.
+    row = _row(key)
+    fam, make = tp_family(lie(row.lie, *row.params)), row.build
     k = fam.dim
     unit = [tuple(int(m == i) for m in range(k)) for i in range(k)]
     coords = [fam.space.coords_of(make(*u).c) for u in unit]
@@ -152,6 +159,35 @@ def test_associativity_residual_by_polarisation(params, make, form, nonzero):
     assert len(forms) == nonzero
     negated = {ij: -v for ij, v in form.items()}
     assert all(f in (form, negated) for f in forms.values()), forms
+
+
+def _g2_2_with_extra_cell(*p):
+    # the printed g2^2 builder plus e1.e1 = p[0] e1
+    cells = [(i + 1, j + 1, k + 1, v) for i, j, k, v in g2_2_family_product(*p).entries]
+    return StructureConstants.from_entries(3, cells + [(1, 1, 1, p[0])])
+
+
+@pytest.mark.parametrize("key, field, mutant, flag", [
+    ("g2_2", "condition", lambda *p: not g2_2_assoc_condition(*p), "g2_2_zero_set_matches"),
+    ("g2_0", "condition", lambda *p: not g2_0_assoc_condition(*p), "g2_0_zero_set_matches"),
+    ("g2_2", "build", _g2_2_with_extra_cell, "g2_2_zero_set_matches"),
+    ("g1", "build", lambda a, b, c: g1_family_product(a, a, c), "g1_grid_residual_zero"),
+], ids=["g2-alpha-2-negated", "g2-alpha-0-negated", "g2-alpha-2-extra-cell",
+        "g1-short-of-family"])
+def test_criterion_3_refutes_a_wrong_row(monkeypatch, key, field, mutant, flag):
+    # the outside cell leaves the family, and the g1 builder's unit members
+    # span a plane of it: membership read off the unit members sees both
+    row = _row(key)
+    fam = tp_family(lie(row.lie, *row.params))
+    if field == "build":
+        units = [fam.space.coords_of(mutant(*(int(i == j) for j in range(row.dim))).c)
+                 for i in range(row.dim)]
+        assert None in units or linalg.rank(units, fam.space.field) < fam.dim
+    assert verify.claim_enumeration()[flag]
+    monkeypatch.setattr(verify, "PRODUCT_FAMILIES", tuple(
+        r._replace(**{field: mutant}) if r.key == key else r for r in PRODUCT_FAMILIES))
+    claim = verify.claim_enumeration()
+    assert [k for k, v in claim.items() if v is False] == ["pass", flag]
 
 
 def test_every_catalog_product_is_family_member():
